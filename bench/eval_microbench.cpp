@@ -38,7 +38,7 @@
 #include "heuristics/exact.hpp"
 #include "obs/trace.hpp"
 #include "mapping/evaluator.hpp"
-#include "serve/server.hpp"
+#include "serve/engine.hpp"
 #include "solve/solve.hpp"
 
 namespace {
@@ -615,7 +615,7 @@ int main(int argc, char** argv) try {
     }
   }
 
-  // Serve-daemon memoization: the same request through serve::Server twice.
+  // Serve-daemon memoization: the same request through serve::Engine twice.
   // The frames carry per-request wall time, so cold-vs-hit cost comes
   // straight from the daemon's own accounting; the hit must cost zero
   // evaluator calls or the run fails like the evaluator cross-checks above.
@@ -644,17 +644,17 @@ int main(int argc, char** argv) try {
       w.kv("period", T);
       w.end_object();
     }
-    serve::Server server(serve::ServerOptions{/*threads=*/1,
+    // One request at a time, so the second finds the first's entry.
+    serve::Engine engine(serve::EngineOptions{/*threads=*/1,
                                               /*cache_capacity=*/1024,
-                                              /*max_inflight=*/0,
                                               /*log_path=*/{}});
-    std::istringstream in(request.str() + "\n" + request.str() + "\n");
-    std::ostringstream out;
-    const auto summary = server.serve(in, out);
-    std::istringstream lines(out.str());
     std::string cold_line, hit_line;
-    std::getline(lines, cold_line);
-    std::getline(lines, hit_line);
+    for (std::string* line : {&cold_line, &hit_line}) {
+      engine.submit(request.str(), /*log_line=*/false, nullptr,
+                    [line](serve::Engine::Result r) { *line = std::move(r.line); });
+      engine.wait_idle();
+    }
+    const auto summary = engine.lifetime();
     const auto cold = util::parse_json(cold_line);
     const auto hit = util::parse_json(hit_line);
     if (summary.hits != 1 || hit.at("cache").as_string("cache") != "hit" ||

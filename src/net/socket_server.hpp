@@ -1,37 +1,54 @@
 #pragma once
 
-// The serve daemon's socket transport: a poll(2) event loop carrying the
-// newline-delimited JSON request protocol over a net::Listener (Unix or
-// TCP), answering through the same serve::Engine as the stream transport
-// — one cache, one request log, one deterministic coalescing order.
+// The serve daemon's one transport: a poll(2) event loop carrying the
+// newline-delimited JSON request protocol to a serve::Engine, over the
+// sockets a net::Listener (Unix or TCP) accepts and over byte streams
+// added with add_stream() — stdin/stdout, an --in file or FIFO, a request
+// log being replayed.  Every connection, socket or stream, goes through
+// the same framing, ordering, in-flight bound and drain code.
 //
 // One thread runs the loop; solves happen on the engine's pool and
 // completions are handed back through a self-pipe wakeup.  Per connection
-// the server keeps a read accumulator (partial frames survive short
-// reads), a write buffer (short writes survive full kernel buffers), and
-// a reorder map so responses leave in that connection's request order —
-// connections are independent streams, each with the stream transport's
-// ordering guarantee.
+// the loop keeps a read accumulator (partial frames survive short reads),
+// a write buffer (short writes survive full kernel buffers), and a
+// reorder map so responses leave in that connection's request order —
+// the one place a request's sequence number meets its response.
 //
 // Protocol edges, all answered in-band:
 //   - a frame longer than max_frame_bytes is answered with a code-2 error
 //     and the connection resyncs at the next newline;
-//   - a torn final frame (client closed mid-line) is processed like the
-//     stream transport's unterminated last line — malformed JSON answers
-//     code 2;
-//   - a connection over the max_connections cap is answered with one
-//     code-3 error line and closed;
-//   - when the stop flag rises the server stops accepting and reading,
+//   - a torn final frame (EOF mid-line) is processed like any other line
+//     — malformed JSON answers code 2;
+//   - a socket over the max_connections cap is answered with one code-3
+//     error line and closed;
+//   - a peer that stops reading (a closed socket, EPIPE on a stream) is
+//     dropped like a disconnect: its unanswered requests are discarded;
+//   - when the stop flag rises the loop stops accepting and reading,
 //     queued requests drain through the engine (cache hits answer, fresh
 //     solves are refused code 3), write buffers flush, and run() returns
-//     with `interrupted` set — the FIFO transport's drain semantics.
+//     with `interrupted` set.
 //
-// Idle connections (no activity for idle_timeout_ms, nothing in flight)
-// are closed quietly, so a forgotten client cannot hold a connection slot
-// forever.
+// Backpressure: once max_inflight requests are accepted but their
+// responses not yet written out, summed over all connections, the loop
+// stops framing and reading until one is — a slow head-of-line request
+// or a slow reader holds the input back instead of growing buffers.  The
+// `serve.inflight` gauge tracks that sum.
+//
+// Stream fds are used as inherited: the loop never sets O_NONBLOCK on
+// them, reads once per POLLIN and writes at most PIPE_BUF bytes per
+// POLLOUT, so neither call blocks the loop on a pipe or a file.  A stream
+// whose reader went away surfaces as EPIPE only where SIGPIPE is ignored,
+// as spgcmp_serve does.
+//
+// Idle socket connections (no activity for idle_timeout_ms, nothing in
+// flight) are closed quietly, so a forgotten client cannot hold a
+// connection slot forever.  Streams are never idle-closed.
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "net/net.hpp"
 #include "serve/engine.hpp"
@@ -41,40 +58,64 @@ namespace spgcmp::net {
 #ifndef _WIN32
 
 struct SocketServerOptions {
-  std::size_t max_connections = 64;   ///< concurrent clients; 0 = unlimited
-  /// Max accepted-but-unanswered requests across all connections before
-  /// the server stops reading (0 = unlimited); the socket-side analogue
-  /// of the stream transport's reorder-buffer bound.
+  std::size_t max_connections = 64;  ///< concurrent socket clients; 0 = unlimited
+  /// Max accepted requests whose responses are not yet written out,
+  /// summed over all connections, before the loop stops reading;
+  /// 0 = 4x the engine's pool size.
   std::size_t max_inflight = 0;
   std::size_t max_frame_bytes = 1 << 20;  ///< request line length cap
-  int idle_timeout_ms = 0;            ///< close idle connections; 0 = never
-  /// Stop-flag poll cadence: the loop wakes at least this often, so a
-  /// signal landing in another thread still drains promptly.
-  int poll_interval_ms = 200;
+  int idle_timeout_ms = 0;  ///< close idle socket connections; 0 = never
 };
 
 struct SocketSummary {
   serve::ServerSummary serve;           ///< responses written, all connections
-  std::uint64_t connections = 0;        ///< accepted (served) connections
+  std::uint64_t connections = 0;        ///< accepted (served) socket connections
   std::uint64_t refused_connections = 0;  ///< over-cap, answered code 3
   std::uint64_t idle_closed = 0;        ///< closed by the idle timeout
 };
 
 class SocketServer {
  public:
-  SocketServer(Listener& listener, serve::Engine& engine,
-               SocketServerOptions opt);
+  /// `listener` (may be null) is accepted from until the stop flag rises.
+  SocketServer(serve::Engine& engine, SocketServerOptions opt,
+               Listener* listener = nullptr);
 
-  /// Run the event loop until the stop flag rises; see the header
-  /// comment.  Returns after every accepted request was answered and
-  /// every write buffer flushed (or its connection died).
-  SocketSummary run(const std::atomic<bool>* stop);
+  /// Serve one byte stream as a connection: request lines are read from
+  /// `in_fd` and responses written to `out_fd`.  The fds' flags stay as
+  /// they are and the loop never closes them.  A stream is neither
+  /// counted in `connections` nor capped by max_connections.
+  /// `log_lines = false` keeps its lines out of the request log (a
+  /// replay).  Call before run().
+  void add_stream(int in_fd, int out_fd, bool log_lines = true);
+
+  /// Run the loop until the stop flag rises or, without a listener, every
+  /// stream has reached EOF and drained; see the header comment.  Returns
+  /// after every accepted request was answered and every write buffer
+  /// flushed (or its connection died).  `on_wake` (may be empty) runs on
+  /// the loop thread after every poll return, a signal's EINTR included.
+  SocketSummary run(const std::atomic<bool>* stop,
+                    const std::function<void()>& on_wake = {});
 
  private:
-  Listener& listener_;
+  struct Stream {
+    int in_fd;
+    int out_fd;
+    bool log_lines;
+  };
+
   serve::Engine& engine_;
   SocketServerOptions opt_;
+  Listener* listener_;
+  std::vector<Stream> streams_;
 };
+
+/// Feed a request log (as written via serve::EngineOptions::log_path) back
+/// through `engine` as a stream connection, discarding the responses — a
+/// cache warm-up after a restart.  The replayed lines are not re-logged;
+/// a torn final line surfaces as one discarded code-2 answer.  Throws
+/// std::runtime_error when the log cannot be opened.
+serve::ServerSummary replay_log(serve::Engine& engine, const std::string& path,
+                                const SocketServerOptions& opt = {});
 
 #endif  // !_WIN32
 

@@ -93,8 +93,12 @@ std::string render_stats_document(const ServerSummary& s,
   return os.str();
 }
 
-Engine::Engine(util::ThreadPool& pool, MemoCache& cache, util::JsonlWriter* log)
-    : pool_(pool), cache_(cache), log_(log) {}
+Engine::Engine(const EngineOptions& opt)
+    : cache_(opt.cache_capacity),
+      log_(opt.log_path.empty()
+               ? std::optional<util::JsonlWriter>()
+               : std::optional<util::JsonlWriter>(std::in_place, opt.log_path)),
+      pool_(opt.threads) {}
 
 ServerSummary Engine::lifetime() const {
   ServerSummary s;
@@ -119,9 +123,9 @@ void Engine::submit(const std::string& line, bool log_line,
                     const std::atomic<bool>* stop,
                     std::function<void(Result)> done) {
   accepted_.fetch_add(1, std::memory_order_relaxed);
-  if (log_line && log_ != nullptr) {
+  if (log_line) {
     const util::MutexLock lk(log_mutex_);
-    log_->append_raw(line);
+    if (log_.has_value()) log_->append_raw(line);
   }
   static auto& m_requests = obs::Registry::instance().counter("serve.requests");
   static auto& m_request_us =

@@ -4,13 +4,15 @@
 //
 // An Engine turns raw newline-delimited request lines into rendered
 // response lines: parse, coalesce identical in-flight requests
-// deterministically, memoize solved reports in the shared MemoCache, and
-// answer in-band {"stats":true} control frames from live state.  It knows
-// nothing about where lines come from or where responses go — the stream
-// transport (serve::Server, stdin/file/FIFO) and the socket transport
-// (net::SocketServer) both submit lines and receive completions through
-// the same Engine, so cache hits are byte-identical across transports and
-// the coalescing order stays deterministic even with both active.
+// deterministically, memoize solved reports in its MemoCache, and answer
+// in-band {"stats":true} control frames from live state.  It owns the
+// solve pool, the memo cache and the append-only request log, and knows
+// nothing about where lines come from or where responses go: every
+// connection of the daemon's poll loop (net::SocketServer) — sockets and
+// the stdin/--in stream alike — submits lines and receives completions
+// through the same Engine, so cache hits are byte-identical whichever
+// door a request came through and the coalescing order stays
+// deterministic.
 //
 // submit() assigns each line a global sequence number under a lock that
 // also orders the pool enqueue, so pool workers start requests in
@@ -18,10 +20,9 @@
 // registration wait rests on (a task waiting for its registration turn
 // only waits on earlier tasks, which are all already running).
 //
-// Transports keep their own response ordering (the stream server a global
-// reorder buffer, the socket server a per-connection one) and their own
-// per-run summaries; the Engine keeps process-lifetime counters that back
-// the "summary" section of the stats document.
+// The poll loop keeps response ordering (per connection) and per-run
+// summaries; the Engine keeps process-lifetime counters that back the
+// "summary" section of the stats document.
 
 #include <atomic>
 #include <cstdint>
@@ -42,7 +43,7 @@ namespace spgcmp::serve {
 /// Classification of one rendered response line.
 enum class ResponseKind { OkMiss, OkHit, Error, Shutdown, Stats };
 
-/// What one serve run (stream or socket) did.
+/// What one serve run (one poll-loop run, over all its connections) did.
 struct ServerSummary {
   std::uint64_t accepted = 0;   ///< non-blank request lines read
   std::uint64_t answered = 0;   ///< response lines written
@@ -55,8 +56,7 @@ struct ServerSummary {
   MemoCache::Stats cache;       ///< cache counters at return time
 };
 
-/// Count one emitted response into a per-run summary.  Shared by both
-/// transports so their summaries classify identically.
+/// Count one emitted response into a per-run summary.
 void count_response(ResponseKind kind, ServerSummary& summary);
 
 /// Render the stats document shared by the in-band {"stats":true} answer,
@@ -69,6 +69,12 @@ void count_response(ResponseKind kind, ServerSummary& summary);
                                                 const std::string& deltas_json,
                                                 int indent = -1);
 
+struct EngineOptions {
+  std::size_t threads = 0;            ///< solve pool size; 0 = hardware concurrency
+  std::size_t cache_capacity = 1024;  ///< memo entries; 0 disables caching
+  std::string log_path;  ///< append-only request log (empty = no log)
+};
+
 class Engine {
  public:
   struct Result {
@@ -76,14 +82,14 @@ class Engine {
     ResponseKind kind = ResponseKind::Error;
   };
 
-  /// `log` (optional) receives every submitted line that asks to be
-  /// logged, under an internal lock so concurrent transports interleave
-  /// whole lines.
-  Engine(util::ThreadPool& pool, MemoCache& cache, util::JsonlWriter* log);
+  /// The request log (when `opt.log_path` is set) receives every
+  /// submitted line that asks to be logged, under an internal lock so
+  /// concurrent connections interleave whole lines.
+  explicit Engine(const EngineOptions& opt = {});
 
   /// Submit one raw request line.  `done` is invoked exactly once, from a
   /// pool worker, with the rendered response.  `stop` (the submitting
-  /// transport's stop flag, may be null) enables the drain refusal path.
+  /// loop's stop flag, may be null) enables the drain refusal path.
   /// Thread-safe; concurrent submitters are serialized so coalescing
   /// stays deterministic in submission order.
   void submit(const std::string& line, bool log_line,
@@ -93,10 +99,15 @@ class Engine {
   /// Block until every submitted request has completed.
   void wait_idle() { pool_.wait_idle(); }
 
+  /// Solve pool size (the default in-flight bound is 4x this).
+  [[nodiscard]] std::size_t threads() const noexcept {
+    return pool_.thread_count();
+  }
+
   /// Process-lifetime view of everything this engine answered (the
   /// "summary" section of the stats document).  `interrupted` is always
   /// false here: a live scrape happens before any transport has drained,
-  /// and per-run interruption belongs to the transports' summaries.
+  /// and per-run interruption belongs to the poll loop's summaries.
   [[nodiscard]] ServerSummary lifetime() const;
 
   /// The stats document from live engine state; every call advances the
@@ -132,10 +143,9 @@ class Engine {
   };
   friend struct Ticket;
 
-  util::ThreadPool& pool_;
-  MemoCache& cache_;
-  util::JsonlWriter* const log_ SPGCMP_PT_GUARDED_BY(log_mutex_);
+  MemoCache cache_;
   util::Mutex log_mutex_;
+  std::optional<util::JsonlWriter> log_ SPGCMP_GUARDED_BY(log_mutex_);
   obs::DeltaTracker delta_;
 
   // Serializes sequence assignment with the pool enqueue (see header).
@@ -166,6 +176,10 @@ class Engine {
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> refused_{0};
   std::atomic<std::uint64_t> stats_requests_{0};
+
+  // Declared last, so it is destroyed first: its workers run tasks that
+  // touch every member above.
+  util::ThreadPool pool_;
 };
 
 }  // namespace spgcmp::serve

@@ -1,24 +1,28 @@
-// Tests for the socket transport: address parsing, concurrent clients
-// with per-connection response ordering and a shared cache, oversized and
-// torn frames answered in-band with code 2, mid-request disconnects that
-// must not wedge the daemon, the connection cap's code-3 refusal, idle
-// timeouts, the stats scrape document, and the drain-on-stop contract
-// (every accepted request answered, connections closed, run() returns
-// interrupted).
+// Tests for the daemon's poll loop: address parsing, concurrent socket
+// clients with per-connection response ordering and a shared cache, a
+// stream connection and a socket sharing one loop, oversized and torn
+// frames answered in-band with code 2 through either door, mid-request
+// disconnects that must not wedge the daemon, the connection cap's code-3
+// refusal, idle timeouts, the stats scrape document, the serve.inflight
+// gauge, and the drain-on-stop contract (every accepted request answered,
+// connections closed, run() returns interrupted).
 
 #include <gtest/gtest.h>
 
 #ifndef _WIN32
 
+#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <future>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -26,7 +30,8 @@
 
 #include "net/net.hpp"
 #include "net/socket_server.hpp"
-#include "serve/server.hpp"
+#include "obs/metrics.hpp"
+#include "serve/engine.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -67,27 +72,135 @@ std::string report_tail(const std::string& line) {
   return pos == std::string::npos ? std::string() : line.substr(pos);
 }
 
-/// A serve daemon listening on a fresh Unix socket, its event loop on a
-/// background thread.  stop()/summary() end the loop and hand back what
-/// it did.
+/// The two ways a request reaches the loop: an accepted socket, or the
+/// stdin/--in byte stream.
+enum class Door { Socket, Stream };
+
+std::string door_name(const ::testing::TestParamInfo<Door>& info) {
+  return info.param == Door::Socket ? "Socket" : "Stream";
+}
+
+/// A blocking line-framed client over a write fd and a read fd (one
+/// socket, or the far ends of a stream's two pipes).  Reads time out
+/// after 30 s, so a wedged daemon fails the test instead of hanging it.
+class Client {
+ public:
+  explicit Client(const std::string& path)
+      : wfd_(net::connect_to(net::parse_address(path))), rfd_(wfd_) {}
+  Client(int wfd, int rfd) : wfd_(wfd), rfd_(rfd) {}
+  ~Client() { close_now(); }
+
+  void send(const std::string& text) {
+    std::size_t off = 0;
+    while (off < text.size()) {
+      const ssize_t n =
+          socket() ? ::send(wfd_, text.data() + off, text.size() - off,
+                            MSG_NOSIGNAL)
+                   : ::write(wfd_, text.data() + off, text.size() - off);
+      if (n < 0 && errno == EINTR) continue;
+      ASSERT_GT(n, 0) << "send failed: " << std::strerror(errno);
+      off += static_cast<std::size_t>(n);
+    }
+  }
+
+  /// Half-close: the daemon reads EOF, answers stay readable.
+  void shutdown_write() {
+    if (socket()) {
+      ::shutdown(wfd_, SHUT_WR);
+    } else if (wfd_ >= 0) {
+      ::close(wfd_);
+      wfd_ = -1;
+    }
+  }
+
+  /// Next response line, or nullopt on EOF/timeout.
+  std::optional<std::string> recv_line() {
+    while (true) {
+      const auto nl = buf_.find('\n');
+      if (nl != std::string::npos) {
+        std::string line = buf_.substr(0, nl);
+        buf_.erase(0, nl + 1);
+        return line;
+      }
+      pollfd p{rfd_, POLLIN, 0};
+      const int rc = ::poll(&p, 1, 30000);
+      if (rc < 0 && errno == EINTR) continue;
+      if (rc <= 0) return std::nullopt;
+      char tmp[4096];
+      const ssize_t n = ::read(rfd_, tmp, sizeof tmp);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return std::nullopt;
+      buf_.append(tmp, static_cast<std::size_t>(n));
+    }
+  }
+
+  void close_now() {
+    if (wfd_ >= 0) ::close(wfd_);
+    if (rfd_ >= 0 && rfd_ != wfd_) ::close(rfd_);
+    wfd_ = rfd_ = -1;
+  }
+
+ private:
+  [[nodiscard]] bool socket() const { return rfd_ == wfd_; }
+
+  int wfd_ = -1;
+  int rfd_ = -1;
+  std::string buf_;
+};
+
+/// A serve daemon's poll loop on a background thread, with the doors
+/// asked for: a listener on a fresh Unix socket, and/or one stream
+/// connection over two pipes.  stop()/summary() end the loop and hand
+/// back what it did.
 class SocketDaemon {
  public:
   explicit SocketDaemon(net::SocketServerOptions opt = {},
-                        std::size_t threads = 2)
+                        std::size_t threads = 2,
+                        std::initializer_list<Door> doors = {Door::Socket})
       : path_((fs::temp_directory_path() /
                ("spgcmp_net_" + std::to_string(::getpid()) + "_" +
                 std::to_string(next_id_++) + ".sock"))
                   .string()),
-        server_(serve::ServerOptions{threads, /*cache_capacity=*/1024,
-                                     /*max_inflight=*/0, /*log_path=*/{}}),
-        listener_(net::parse_address(path_)),
-        sock_(listener_, server_.engine(), opt),
-        thread_([this] { summary_ = sock_.run(&stop_); }) {}
+        engine_(serve::EngineOptions{threads, /*cache_capacity=*/1024,
+                                     /*log_path=*/{}}) {
+    // A stream client that stops reading must surface as EPIPE, as in
+    // spgcmp_serve, not kill the test binary.
+    std::signal(SIGPIPE, SIG_IGN);
+    bool stream = false;
+    for (const Door d : doors) {
+      if (d == Door::Socket) listener_.emplace(net::parse_address(path_));
+      if (d == Door::Stream) stream = true;
+    }
+    sock_.emplace(engine_, opt, listener_ ? &*listener_ : nullptr);
+    if (stream) {
+      EXPECT_EQ(::pipe(in_), 0);
+      EXPECT_EQ(::pipe(out_), 0);
+      sock_->add_stream(in_[0], out_[1]);
+    }
+    thread_ = std::thread([this] {
+      summary_ = sock_->run(&stop_);
+      // Like the daemon exiting: the stream's reader sees EOF.
+      if (out_[1] >= 0) ::close(out_[1]);
+      out_[1] = -1;
+    });
+  }
 
-  ~SocketDaemon() { (void)finish(); }
+  ~SocketDaemon() {
+    (void)finish();
+    if (in_[0] >= 0) ::close(in_[0]);
+  }
 
   [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] serve::Engine& engine() { return server_.engine(); }
+  [[nodiscard]] serve::Engine& engine() { return engine_; }
+
+  /// A client through `door`: a fresh socket connection, or the one
+  /// stream's far ends (the client owns them; take it once).
+  [[nodiscard]] std::unique_ptr<Client> connect(Door door) {
+    if (door == Door::Socket) return std::make_unique<Client>(path_);
+    auto c = std::make_unique<Client>(in_[1], out_[0]);
+    in_[1] = out_[0] = -1;
+    return c;
+  }
 
   /// Raise the stop flag, join the loop, return its summary (idempotent).
   net::SocketSummary finish() {
@@ -99,66 +212,17 @@ class SocketDaemon {
  private:
   static std::atomic<int> next_id_;
   std::string path_;
-  serve::Server server_;
-  net::Listener listener_;
-  net::SocketServer sock_;
+  serve::Engine engine_;
+  std::optional<net::Listener> listener_;
+  std::optional<net::SocketServer> sock_;
+  int in_[2] = {-1, -1};   ///< stream input: loop reads [0], client writes [1]
+  int out_[2] = {-1, -1};  ///< stream output: loop writes [1], client reads [0]
   std::atomic<bool> stop_{false};
   net::SocketSummary summary_;
   std::thread thread_;
 };
 
 std::atomic<int> SocketDaemon::next_id_{0};
-
-/// A blocking client with line framing and a receive timeout (a wedged
-/// daemon fails the test instead of hanging it).
-class Client {
- public:
-  explicit Client(const std::string& path)
-      : fd_(net::connect_to(net::parse_address(path))) {
-    timeval tv{/*tv_sec=*/30, /*tv_usec=*/0};
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  }
-  ~Client() { close_now(); }
-
-  void send(const std::string& text) {
-    std::size_t off = 0;
-    while (off < text.size()) {
-      const ssize_t n =
-          ::send(fd_, text.data() + off, text.size() - off, MSG_NOSIGNAL);
-      if (n < 0 && errno == EINTR) continue;
-      ASSERT_GT(n, 0) << "send failed: " << std::strerror(errno);
-      off += static_cast<std::size_t>(n);
-    }
-  }
-
-  void shutdown_write() { ::shutdown(fd_, SHUT_WR); }
-
-  /// Next response line, or nullopt on EOF/timeout.
-  std::optional<std::string> recv_line() {
-    while (true) {
-      const auto nl = buf_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buf_.substr(0, nl);
-        buf_.erase(0, nl + 1);
-        return line;
-      }
-      char tmp[4096];
-      const ssize_t n = ::recv(fd_, tmp, sizeof tmp, 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return std::nullopt;
-      buf_.append(tmp, static_cast<std::size_t>(n));
-    }
-  }
-
-  void close_now() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
- private:
-  int fd_ = -1;
-  std::string buf_;
-};
 
 // -------------------------------------------------------------- parsing --
 
@@ -245,11 +309,15 @@ TEST(SocketServer, StatsScrapeSharesTheStatsDocumentShape) {
   EXPECT_NE(body.at("deltas").find("window_seconds"), nullptr);
 }
 
-TEST(SocketServer, OversizedFrameAnsweredCode2AndConnectionResyncs) {
+/// The frame rules hold whichever door a request comes through.
+class FrameRules : public ::testing::TestWithParam<Door> {};
+
+TEST_P(FrameRules, OversizedFrameAnsweredCode2AndConnectionResyncs) {
   net::SocketServerOptions opt;
   opt.max_frame_bytes = 256;
-  SocketDaemon daemon(opt);
-  Client c(daemon.path());
+  SocketDaemon daemon(opt, /*threads=*/2, {GetParam()});
+  const auto client = daemon.connect(GetParam());
+  Client& c = *client;
 
   // A 1 KiB blast with no newline: answered code 2 without waiting for
   // the newline, the over-long frame's remainder discarded.
@@ -271,11 +339,12 @@ TEST(SocketServer, OversizedFrameAnsweredCode2AndConnectionResyncs) {
   EXPECT_EQ(util::parse_json(*ok).at("id").as_number("id"), 7.0);
 }
 
-TEST(SocketServer, TornFinalFrameAnsweredCode2ThenEof) {
-  SocketDaemon daemon;
-  Client c(daemon.path());
-  // Client dies mid-line: the torn frame is processed like the stream
-  // transport's unterminated last line — malformed JSON, code 2.
+TEST_P(FrameRules, TornFinalFrameAnsweredCode2ThenEof) {
+  SocketDaemon daemon({}, /*threads=*/2, {GetParam()});
+  const auto client = daemon.connect(GetParam());
+  Client& c = *client;
+  // Input ends mid-line: the torn frame is processed like any other
+  // line — malformed JSON, code 2.
   c.send(R"({"solver": "greedy", "per)");
   c.shutdown_write();
   const auto err = c.recv_line();
@@ -285,6 +354,75 @@ TEST(SocketServer, TornFinalFrameAnsweredCode2ThenEof) {
   EXPECT_EQ(doc.at("code").as_number("code"), 2.0);
   // The drained connection is closed from the server side.
   EXPECT_FALSE(c.recv_line().has_value());
+}
+
+INSTANTIATE_TEST_SUITE_P(Doors, FrameRules,
+                         ::testing::Values(Door::Socket, Door::Stream),
+                         door_name);
+
+TEST(SocketServer, StreamAndSocketShareOneLoopAndOneCache) {
+  SocketDaemon daemon({}, /*threads=*/2, {Door::Socket, Door::Stream});
+  const auto stream = daemon.connect(Door::Stream);
+  const auto sock = daemon.connect(Door::Socket);
+
+  // The same request through both doors: one cold solve, one free hit
+  // with the byte-identical report.
+  stream->send(gen_request(1, 5) + "\n");
+  const auto cold = stream->recv_line();
+  sock->send(gen_request(2, 5) + "\n");
+  const auto hit = sock->recv_line();
+  ASSERT_TRUE(cold && hit);
+  EXPECT_EQ(util::parse_json(*cold).at("cache").as_string("cache"), "miss");
+  EXPECT_EQ(util::parse_json(*hit).at("cache").as_string("cache"), "hit");
+  EXPECT_EQ(util::parse_json(*hit).at("request_evals").as_number("evals"), 0.0);
+  EXPECT_EQ(report_tail(*cold), report_tail(*hit));
+
+  // The stream's EOF leaves the listener serving.
+  stream->shutdown_write();
+  sock->send(gen_request(3, 9) + "\n");
+  const auto later = sock->recv_line();
+  ASSERT_TRUE(later.has_value());
+  EXPECT_EQ(util::parse_json(*later).at("status").as_string("status"), "ok");
+
+  sock->close_now();
+  const auto summary = daemon.finish();
+  EXPECT_EQ(summary.connections, 1u);  // the stream is not an accepted socket
+  EXPECT_EQ(summary.serve.accepted, 3u);
+  EXPECT_EQ(summary.serve.answered, 3u);
+  EXPECT_EQ(summary.serve.hits, 1u);
+  EXPECT_EQ(summary.serve.cache.misses, 2u);
+}
+
+TEST(SocketServer, InflightGaugeCountsASlowRequestUntilWritten) {
+  const obs::Gauge& gauge = obs::Registry::instance().gauge("serve.inflight");
+  SocketDaemon daemon({}, /*threads=*/1);
+
+  // Hold the engine's only worker, so the socket request queues behind it.
+  std::promise<void> holding;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  daemon.engine().submit(R"({"stats":true})", /*log_line=*/false, nullptr,
+                         [&holding, released](serve::Engine::Result) {
+                           holding.set_value();
+                           released.wait();
+                         });
+  holding.get_future().wait();
+
+  Client c(daemon.path());
+  c.send(gen_request(1, 5) + "\n");
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (gauge.value() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(gauge.value(), 1);  // accepted, not yet written
+  release.set_value();
+
+  const auto ok = c.recv_line();
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(util::parse_json(*ok).at("status").as_string("status"), "ok");
+  c.close_now();
+  (void)daemon.finish();
+  EXPECT_EQ(gauge.value(), 0);
 }
 
 TEST(SocketServer, DisconnectMidRequestDoesNotWedgeTheDaemon) {
@@ -335,7 +473,6 @@ TEST(SocketServer, OverCapConnectionRefusedInBandWithCode3) {
 TEST(SocketServer, IdleConnectionsAreClosedQuietly) {
   net::SocketServerOptions opt;
   opt.idle_timeout_ms = 100;
-  opt.poll_interval_ms = 20;
   SocketDaemon daemon(opt);
   Client c(daemon.path());
   const auto t0 = std::chrono::steady_clock::now();

@@ -1,24 +1,32 @@
 // Tests for the serve subsystem: canonical-key round-trips (re-seeded and
 // stage-permuted spellings of the same problem collide, genuinely distinct
 // problems do not), solver-spec normalization, LRU eviction order, the
-// request protocol's exit-2-style diagnostics, byte-identical cache hits
-// at 1 and 4 pool threads, request-log replay, and the shutdown drain
-// (every accepted request is answered, never hung or dropped).
+// request protocol's exit-2-style diagnostics, and — through the daemon's
+// poll loop serving a stream connection — byte-identical cache hits at 1
+// and 4 pool threads, request-log replay, and the shutdown drain (every
+// accepted request is answered, never hung or dropped).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <filesystem>
 #include <sstream>
-#include <streambuf>
 #include <string>
+#include <thread>
 #include <vector>
 
+#ifndef _WIN32
+#include <unistd.h>
+#endif
+
+#include "net/socket_server.hpp"
 #include "serve/cache.hpp"
 #include "serve/canonical.hpp"
+#include "serve/engine.hpp"
 #include "serve/protocol.hpp"
-#include "serve/server.hpp"
 #include "spg/generator.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -70,19 +78,57 @@ struct ServeRun {
   std::vector<std::string> lines;
 };
 
-ServeRun run_lines(serve::Server& server, const std::vector<std::string>& requests,
-              const std::atomic<bool>* stop = nullptr) {
+#ifndef _WIN32
+
+/// An engine with `threads` pool workers and the daemon's other defaults.
+serve::EngineOptions engine_options(std::size_t threads) {
+  serve::EngineOptions opt;
+  opt.threads = threads;
+  return opt;
+}
+
+/// Everything written to `f` so far, from its start.
+std::string read_all(std::FILE* f) {
+  std::string text;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::pread(fileno(f), buf, sizeof buf,
+                      static_cast<off_t>(text.size()))) > 0) {
+    text.append(buf, static_cast<std::size_t>(n));
+  }
+  return text;
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream is(text);
+  std::string line;
+  while (std::getline(is, line)) lines.push_back(line);
+  return lines;
+}
+
+/// Serve `requests` through the daemon's poll loop as one stream
+/// connection (input and output in temporary files), until EOF or `stop`.
+ServeRun run_lines(serve::Engine& engine, const std::vector<std::string>& requests,
+                   const std::atomic<bool>* stop = nullptr) {
   std::string text;
   for (const auto& r : requests) text += r + "\n";
-  std::istringstream in(text);
-  std::ostringstream out;
+  std::FILE* in = std::tmpfile();
+  std::FILE* out = std::tmpfile();
+  EXPECT_TRUE(in != nullptr && out != nullptr);
+  EXPECT_EQ(::pwrite(fileno(in), text.data(), text.size(), 0),
+            static_cast<ssize_t>(text.size()));
+  net::SocketServer loop(engine, {});
+  loop.add_stream(fileno(in), fileno(out));
   ServeRun run;
-  run.summary = server.serve(in, out, stop);
-  std::istringstream lines(out.str());
-  std::string line;
-  while (std::getline(lines, line)) run.lines.push_back(line);
+  run.summary = loop.run(stop).serve;
+  run.lines = lines_of(read_all(out));
+  std::fclose(in);
+  std::fclose(out);
   return run;
 }
+
+#endif  // !_WIN32
 
 /// The raw "report":{...} tail of a response line (byte-identity checks).
 std::string report_tail(const std::string& line) {
@@ -254,6 +300,8 @@ TEST(MemoCache, CapacityZeroDisablesCaching) {
 
 // --------------------------------------------------------------- server --
 
+#ifndef _WIN32
+
 TEST(Server, HitsAreFreeAndByteIdenticalAcrossThreadCounts) {
   const std::vector<std::string> requests = {
       gen_request(1, 5, "greedy"), gen_request(2, 5, "greedy"),
@@ -261,10 +309,8 @@ TEST(Server, HitsAreFreeAndByteIdenticalAcrossThreadCounts) {
 
   std::vector<ServeRun> runs;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    serve::ServerOptions opt;
-    opt.threads = threads;
-    serve::Server server(opt);
-    runs.push_back(run_lines(server, requests));
+    serve::Engine engine(engine_options(threads));
+    runs.push_back(run_lines(engine, requests));
   }
 
   for (const auto& run : runs) {
@@ -296,10 +342,8 @@ TEST(Server, HitsAreFreeAndByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(Server, StatsRequestAnswersLiveSnapshotInOrder) {
-  serve::ServerOptions opt;
-  opt.threads = 2;
-  serve::Server server(opt);
-  const auto run = run_lines(server, {gen_request(1, 5, "greedy"),
+  serve::Engine engine(engine_options(2));
+  const auto run = run_lines(engine, {gen_request(1, 5, "greedy"),
                                       R"({"id":2,"stats":true})"});
 
   ASSERT_EQ(run.lines.size(), 2u);
@@ -330,11 +374,9 @@ TEST(Server, StatsRequestAnswersLiveSnapshotInOrder) {
 }
 
 TEST(Server, AnswersMalformedRequestsInOrderWithCode2) {
-  serve::ServerOptions opt;
-  opt.threads = 2;
-  serve::Server server(opt);
+  serve::Engine engine(engine_options(2));
   const auto run = run_lines(
-      server, {"this is not json", gen_request(1, 5, "greedy"),
+      engine, {"this is not json", gen_request(1, 5, "greedy"),
                gen_request(2, 5, "bogus_solver"),
                R"({"id":"x","generator":{"n":8},"solver":"greedy"})"});
 
@@ -371,77 +413,59 @@ TEST(Server, CachePersistsAcrossCallsAndReplayRebuildsIt) {
                         ".jsonl");
   fs::remove(log);
   {
-    serve::ServerOptions opt;
-    opt.threads = 1;
+    serve::EngineOptions opt = engine_options(1);
     opt.log_path = log.string();
-    serve::Server server(opt);
-    const auto first = run_lines(server, {gen_request(1, 5, "greedy")});
+    serve::Engine engine(opt);
+    const auto first = run_lines(engine, {gen_request(1, 5, "greedy")});
     EXPECT_EQ(first.summary.hits, 0u);
-    // The cache lives on the Server, not the serve() call.
-    const auto second = run_lines(server, {gen_request(2, 5, "greedy")});
+    // The cache lives on the Engine, not the loop run.
+    const auto second = run_lines(engine, {gen_request(2, 5, "greedy")});
     EXPECT_EQ(second.summary.hits, 1u);
   }
-  // A fresh server replays the request log to warm its cache: the second
+  // A fresh engine replays the request log to warm its cache: the second
   // logged line already hits, and a live duplicate afterwards is free.
-  serve::ServerOptions opt;
-  opt.threads = 1;
-  serve::Server server(opt);
-  const auto replayed = server.replay(log.string());
+  serve::Engine engine(engine_options(1));
+  const auto replayed = net::replay_log(engine, log.string());
   EXPECT_EQ(replayed.accepted, 2u);
   EXPECT_EQ(replayed.hits, 1u);
-  const auto live = run_lines(server, {gen_request(3, 5, "greedy")});
+  const auto live = run_lines(engine, {gen_request(3, 5, "greedy")});
   EXPECT_EQ(live.summary.hits, 1u);
   EXPECT_EQ(live.summary.cache.misses, 1u);  // only the replay's cold solve
   fs::remove(log);
 }
 
-/// Serves `text` one character at a time and raises `flag` once the
-/// trigger_line-th newline has been consumed — a deterministic way to
-/// interrupt the server mid-batch.
-class TriggerBuf final : public std::streambuf {
- public:
-  TriggerBuf(std::string text, std::size_t trigger_line,
-             std::atomic<bool>& flag)
-      : text_(std::move(text)), trigger_(trigger_line), flag_(&flag) {}
-
- protected:
-  int underflow() override {
-    if (pos_ >= text_.size()) return traits_type::eof();
-    ch_ = text_[pos_++];
-    if (ch_ == '\n' && ++newlines_ == trigger_) {
-      flag_->store(true, std::memory_order_relaxed);
-    }
-    setg(&ch_, &ch_, &ch_ + 1);
-    return traits_type::to_int_type(ch_);
-  }
-
- private:
-  std::string text_;
-  std::size_t trigger_;
-  std::atomic<bool>* flag_;
-  std::size_t pos_ = 0;
-  std::size_t newlines_ = 0;
-  char ch_ = '\0';
-};
-
 TEST(Server, ShutdownDrainAnswersEveryAcceptedRequest) {
-  serve::ServerOptions opt;
-  opt.threads = 2;
-  serve::Server server(opt);
+  serve::Engine engine(engine_options(2));
 
   // Warm the cache so a duplicate stays answerable during the drain.
-  (void)run_lines(server, {gen_request(0, 5, "greedy")});
+  (void)run_lines(engine, {gen_request(0, 5, "greedy")});
 
-  // Three requests; the stop flag is raised while the last line is being
-  // read, so all three are accepted and then the server must drain.
+  // Three requests through a pipe whose writer stays open; the stop flag
+  // is raised once the loop has accepted all three, and then the server
+  // must drain.
   std::atomic<bool> stop{false};
   std::string text = gen_request(1, 5, "greedy") + "\n" +
                      gen_request(2, 11, "greedy") + "\n" +
                      gen_request(3, 5, "greedy") + "\n";
-  TriggerBuf buf(text, 3, stop);
-  std::istream in(&buf);
-  std::ostringstream out;
-  const auto summary = server.serve(in, out, &stop);
+  int in[2] = {-1, -1};
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::write(in[1], text.data(), text.size()),
+            static_cast<ssize_t>(text.size()));
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  net::SocketServer loop(engine, {});
+  loop.add_stream(in[0], fileno(out));
+  serve::ServerSummary summary;
+  std::thread runner([&] { summary = loop.run(&stop).serve; });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (engine.lifetime().accepted < 4 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop.store(true, std::memory_order_relaxed);
+  runner.join();
+  ::close(in[0]);
+  ::close(in[1]);
 
   EXPECT_TRUE(summary.interrupted);
   EXPECT_EQ(summary.accepted, 3u);
@@ -451,10 +475,8 @@ TEST(Server, ShutdownDrainAnswersEveryAcceptedRequest) {
   EXPECT_EQ(summary.ok + summary.errors + summary.shutdown_refused, 3u);
   EXPECT_EQ(summary.errors, 0u);
 
-  std::istringstream lines(out.str());
-  std::string line;
   std::size_t count = 0;
-  while (std::getline(lines, line)) {
+  for (const auto& line : lines_of(read_all(out))) {
     ++count;
     const auto doc = util::parse_json(line);
     const std::string status = doc.at("status").as_string("status");
@@ -465,6 +487,7 @@ TEST(Server, ShutdownDrainAnswersEveryAcceptedRequest) {
     }
   }
   EXPECT_EQ(count, 3u);
+  std::fclose(out);
 
   // Duplicates of cached work are served even mid-drain: the two seed-5
   // requests hit the warm cache regardless of when the flag was seen.
@@ -472,7 +495,6 @@ TEST(Server, ShutdownDrainAnswersEveryAcceptedRequest) {
 }
 
 TEST(StopSignal, RaisedSignalSetsFlagAndServerExitsInterrupted) {
-#ifndef _WIN32
   util::install_stop_handlers();
   util::clear_stop_flag();
   ASSERT_EQ(std::raise(SIGTERM), 0);
@@ -480,15 +502,14 @@ TEST(StopSignal, RaisedSignalSetsFlagAndServerExitsInterrupted) {
 
   // With the flag already up the server refuses the batch cleanly: every
   // accepted request is still answered.
-  serve::ServerOptions opt;
-  opt.threads = 1;
-  serve::Server server(opt);
+  serve::Engine engine(engine_options(1));
   const auto run =
-      run_lines(server, {gen_request(1, 5, "greedy")}, &util::stop_flag());
+      run_lines(engine, {gen_request(1, 5, "greedy")}, &util::stop_flag());
   EXPECT_TRUE(run.summary.interrupted);
   EXPECT_EQ(run.summary.answered, run.summary.accepted);
   util::clear_stop_flag();
-#endif
 }
+
+#endif  // !_WIN32
 
 }  // namespace

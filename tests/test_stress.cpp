@@ -31,7 +31,7 @@
 #include "net/socket_server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/server.hpp"
+#include "serve/engine.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -72,16 +72,16 @@ class SocketDaemon {
       : path_((fs::temp_directory_path() /
                ("spgcmp_stress_" + std::to_string(::getpid()) + ".sock"))
                   .string()),
-        server_(serve::ServerOptions{threads, /*cache_capacity=*/1024,
-                                     /*max_inflight=*/0, /*log_path=*/{}}),
+        engine_(serve::EngineOptions{threads, /*cache_capacity=*/1024,
+                                     /*log_path=*/{}}),
         listener_(net::parse_address(path_)),
-        sock_(listener_, server_.engine(), {}),
+        sock_(engine_, {}, &listener_),
         thread_([this] { summary_ = sock_.run(&stop_); }) {}
 
   ~SocketDaemon() { (void)finish(); }
 
   [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] serve::Engine& engine() { return server_.engine(); }
+  [[nodiscard]] serve::Engine& engine() { return engine_; }
 
   net::SocketSummary finish() {
     stop_.store(true, std::memory_order_relaxed);
@@ -91,7 +91,7 @@ class SocketDaemon {
 
  private:
   std::string path_;
-  serve::Server server_;
+  serve::Engine engine_;
   net::Listener listener_;
   net::SocketServer sock_;
   std::atomic<bool> stop_{false};

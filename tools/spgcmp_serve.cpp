@@ -15,28 +15,39 @@
 //
 // --listen=ADDR (POSIX only) additionally serves the same protocol over a
 // socket — a Unix-domain path (contains '/' or no ':') or HOST:PORT TCP
-// endpoint.  Socket clients share the stream transport's cache, request
-// log and coalescing order, so a hit is byte-identical whichever door the
-// request came through.  Per connection, responses leave in that
-// connection's request order.  --listen may coexist with --in; with
-// --listen alone stdin is left untouched and the daemon runs until
-// SIGINT/SIGTERM.  --max-conns caps concurrent connections (excess ones
-// are answered with one code-3 error line and closed), --idle-timeout-ms
-// closes idle connections, and --max-frame-bytes bounds a request line
-// (oversized frames answer code 2 and the connection resyncs at the next
-// newline).
+// endpoint.  One poll loop on the main thread (net::SocketServer) serves
+// every connection: the stdin/--in stream is one more connection next to
+// the sockets, with the same framing, ordering, backpressure and drain.
+// All connections share one cache, request log and coalescing order, so
+// a hit is byte-identical whichever door the request came through.  Per
+// connection, responses leave in that connection's request order.
+// --listen may coexist with --in; with --listen alone stdin is left
+// untouched, and with a listener the daemon runs until SIGINT/SIGTERM
+// even after the stream's EOF.  --max-conns caps concurrent socket
+// connections (excess ones are answered with one code-3 error line and
+// closed), --idle-timeout-ms closes idle socket connections,
+// --max-frame-bytes bounds a request line on every connection (oversized
+// frames answer code 2 and the connection resyncs at the next newline),
+// and --max-inflight bounds the requests accepted but not yet written,
+// over all connections (default 4x the pool size).
 //
 // --log=FILE appends every accepted request line verbatim to an
 // append-only JSONL log; --replay=FILE feeds such a log back through the
-// server before serving, rebuilding the memo cache after a restart.  With
-// --replay and no explicit --in the daemon exits after the replay.
+// same loop before serving, rebuilding the memo cache after a restart.
+// With --replay and no explicit --in or --listen the daemon exits after
+// the replay.
 //
-// SIGINT/SIGTERM stop the intake loop and drain: running solves finish
-// and answer normally, queued requests answer from the cache when
-// possible and are otherwise refused with a code-3 error.  Exit codes:
-// 0 = EOF reached, 3 = stopped by a signal (after the drain), 2 = usage
-// or configuration error, 1 = internal error.  Per-request failures are
-// answered in-band and do not affect the exit code.
+// SIGINT/SIGTERM stop the intake and drain: running solves finish and
+// answer normally, queued requests answer from the cache when possible
+// and are otherwise refused with a code-3 error.  A reader that closes
+// stdout early (`spgcmp_serve < reqs | head -n 1`) is treated like a
+// socket client that disconnected: SIGPIPE is ignored, the stream is
+// dropped at its first failed write, its unanswered requests are
+// discarded, and the daemon prints its summary and writes --stats-out as
+// at EOF.  Exit codes: 0 = EOF reached (also after such an early close),
+// 3 = stopped by a signal (after the drain), 2 = usage or configuration
+// error, 1 = internal error.  Per-request failures are answered in-band
+// and do not affect the exit code.
 //
 // Observability: --trace=FILE records a Chrome trace-event timeline,
 // --metrics=FILE writes the metrics-registry snapshot at exit, and
@@ -46,42 +57,33 @@
 // request line, and SIGUSR1 dumps the metrics snapshot to stderr without
 // disturbing the daemon.
 
-#include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <iostream>
-#include <optional>
-#include <sstream>
-#include <streambuf>
-#include <thread>
-
 #ifndef _WIN32
+
+#include <atomic>
 #include <cerrno>
 #include <csignal>
+#include <cstdio>
 #include <cstring>
+#include <optional>
+#include <string>
+
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 #include "net/net.hpp"
 #include "net/socket_server.hpp"
 #include "obs/obs.hpp"
 #include "serve/engine.hpp"
-#include "serve/server.hpp"
 #include "tool_common.hpp"
 #include "util/cli.hpp"
-#include "util/json.hpp"
 #include "util/stop_signal.hpp"
 
 namespace {
 
 using namespace spgcmp;
 
-#ifndef _WIN32
-
 /// SIGUSR1 requests a live metrics dump to stderr.  No SA_RESTART, so the
-/// signal interrupts the blocking request read and the intake loop notices
-/// the flag immediately.
+/// signal interrupts the loop's poll and the dump happens at once.
 std::atomic<bool> g_usr1{false};
 
 void on_usr1(int) { g_usr1.store(true, std::memory_order_relaxed); }
@@ -100,42 +102,12 @@ void maybe_dump_metrics() {
              stderr);
 }
 
-/// Raw-fd input buffer that honours EINTR: libstdc++'s filebuf retries
-/// interrupted reads internally, so a daemon blocked reading a FIFO would
-/// never notice SIGTERM until its next input line.  This buffer re-checks
-/// the stop flag on every EINTR and turns a raised flag into EOF, which
-/// lands the server in its drain path immediately.
-class StopAwareFdBuf final : public std::streambuf {
- public:
-  StopAwareFdBuf(int fd, const std::atomic<bool>& stop) : fd_(fd), stop_(stop) {}
-
- protected:
-  int underflow() override {
-    for (;;) {
-      maybe_dump_metrics();
-      if (stop_.load(std::memory_order_relaxed)) return traits_type::eof();
-      const ssize_t n = ::read(fd_, buf_, sizeof buf_);
-      if (n > 0) {
-        setg(buf_, buf_, buf_ + n);
-        return traits_type::to_int_type(buf_[0]);
-      }
-      if (n == 0) return traits_type::eof();
-      if (errno != EINTR) return traits_type::eof();
-    }
-  }
-
- private:
-  int fd_;
-  const std::atomic<bool>& stop_;
-  char buf_[1 << 16];
-};
-
 /// Open a request input, retrying the (FIFO-blocking) open on EINTR until
 /// the stop flag is raised.  Returns -1 when stopped before a writer
 /// appeared.
 int open_request_input(const std::string& path, const std::atomic<bool>& stop) {
   for (;;) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd >= 0) return fd;
     if (errno == EINTR) {
       if (stop.load(std::memory_order_relaxed)) return -1;
@@ -145,8 +117,6 @@ int open_request_input(const std::string& path, const std::atomic<bool>& stop) {
                              std::strerror(errno));
   }
 }
-
-#endif  // !_WIN32
 
 void print_summary(const char* what, const serve::ServerSummary& s) {
   std::fprintf(stderr,
@@ -167,20 +137,28 @@ void print_summary(const char* what, const serve::ServerSummary& s) {
 
 int serve_main(const util::Args& args) {
   const auto obs_files = obs::ScopedFiles::from_args(args);
-  serve::ServerOptions opt;
-  opt.threads =
+  serve::EngineOptions eopt;
+  eopt.threads =
       static_cast<std::size_t>(args.get_int("threads", "REPRO_THREADS", 0));
-  opt.cache_capacity =
+  eopt.cache_capacity =
       static_cast<std::size_t>(args.get_int("cache", "", 1024));
-  opt.max_inflight =
-      static_cast<std::size_t>(args.get_int("max-inflight", "", 0));
-  opt.log_path = args.get_string("log", "", "");
+  eopt.log_path = args.get_string("log", "", "");
+  serve::Engine engine(eopt);
 
-  serve::Server server(std::move(opt));
+  net::SocketServerOptions sopt;
+  sopt.max_connections =
+      static_cast<std::size_t>(args.get_int("max-conns", "", 64));
+  sopt.max_inflight =
+      static_cast<std::size_t>(args.get_int("max-inflight", "", 0));
+  sopt.max_frame_bytes =
+      static_cast<std::size_t>(args.get_int("max-frame-bytes", "", 1 << 20));
+  sopt.idle_timeout_ms = static_cast<int>(args.get_int("idle-timeout-ms", "", 0));
+
   util::install_stop_handlers();
-#ifndef _WIN32
   install_usr1_handler();
-#endif
+  // A reader that closes stdout is a client that disconnected: its
+  // writes fail with EPIPE and the loop drops the stream.
+  std::signal(SIGPIPE, SIG_IGN);
   const std::atomic<bool>& stop = util::stop_flag();
 
   // Final summary/cache/metrics/deltas snapshot, installed durably at
@@ -193,13 +171,13 @@ int serve_main(const util::Args& args) {
     obs::write_text_file_durable(
         stats_out,
         serve::render_stats_document(s, obs::Registry::instance().snapshot_json(-1),
-                                     server.engine().deltas().sample(), -1) +
+                                     engine.deltas().sample(), -1) +
             "\n");
   };
 
   const std::string replay = args.get_string("replay", "", "");
   if (!replay.empty()) {
-    print_summary("replayed", server.replay(replay));
+    print_summary("replayed", net::replay_log(engine, replay, sopt));
   }
 
   const std::string listen = args.get_string("listen", "", "");
@@ -209,105 +187,38 @@ int serve_main(const util::Args& args) {
     return 0;
   }
 
-  serve::ServerSummary summary;  // stream transport (when it ran)
-
-#ifndef _WIN32
-  // Socket transport: runs on its own thread so signals and the stream
-  // transport stay on the main thread; the loop re-checks the stop flag
-  // every poll interval, which bounds drain latency.
   std::optional<net::Listener> listener;
-  net::SocketSummary sock_summary;
-  std::thread sock_thread;
   if (!listen.empty()) {
-    const net::Address addr = net::parse_address(listen);
-    listener.emplace(addr);
-    net::SocketServerOptions sopt;
-    sopt.max_connections =
-        static_cast<std::size_t>(args.get_int("max-conns", "", 64));
-    sopt.max_inflight = server.max_inflight();
-    sopt.max_frame_bytes =
-        static_cast<std::size_t>(args.get_int("max-frame-bytes", "", 1 << 20));
-    sopt.idle_timeout_ms = static_cast<int>(args.get_int("idle-timeout-ms", "", 0));
+    listener.emplace(net::parse_address(listen));
     std::fprintf(stderr, "[serve] listening on %s\n",
                  listener->address().to_string().c_str());
-    sock_thread = std::thread([&listener, &server, sopt, &stop, &sock_summary] {
-      net::SocketServer sock(*listener, server.engine(), sopt);
-      sock_summary = sock.run(&stop);
-    });
   }
+  net::SocketServer loop(engine, sopt, listener ? &*listener : nullptr);
 
-  bool ran_stream = false;
-  if (in_path.empty() && listen.empty()) {
-    StopAwareFdBuf buf(STDIN_FILENO, stop);
-    std::istream is(&buf);
-    summary = server.serve(is, std::cout, &stop);
-    ran_stream = true;
-  } else if (!in_path.empty()) {
-    // A FIFO blocks open() until a writer appears; opened fresh here so
-    // the daemon can be started before its first client.
-    const int fd = open_request_input(in_path, stop);
-    if (fd >= 0) {
-      StopAwareFdBuf buf(fd, stop);
-      std::istream is(&buf);
-      summary = server.serve(is, std::cout, &stop);
-      ::close(fd);
-      ran_stream = true;
-    } else if (listen.empty()) {
-      // Stopped while waiting for a writer: still a signal-drain exit.
-      serve::ServerSummary none;
-      none.interrupted = true;
-      write_stats(none);
-      return 3;
-    }
+  // A FIFO blocks open() until a writer appears; opened fresh here so the
+  // daemon can be started before its first client.  Stopped before one
+  // appeared, the loop starts draining with nothing to drain.
+  int in_fd = -1;
+  if (!in_path.empty()) {
+    in_fd = open_request_input(in_path, stop);
+  } else if (listen.empty()) {
+    in_fd = STDIN_FILENO;
   }
-  if (!ran_stream) summary.interrupted = stop.load(std::memory_order_relaxed);
+  if (in_fd >= 0) loop.add_stream(in_fd, STDOUT_FILENO);
 
-  if (sock_thread.joinable()) {
-    // With both transports, a clean stream EOF leaves the socket serving;
-    // the daemon then runs until SIGINT/SIGTERM like a listen-only run.
-    while (!stop.load(std::memory_order_relaxed)) {
-      maybe_dump_metrics();
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    sock_thread.join();
+  const net::SocketSummary summary = loop.run(&stop, maybe_dump_metrics);
+  if (!in_path.empty() && in_fd >= 0) ::close(in_fd);
+  if (listener) {
     std::fprintf(stderr,
                  "[serve] socket: %llu connections (%llu refused, %llu "
                  "idle-closed)\n",
-                 static_cast<unsigned long long>(sock_summary.connections),
-                 static_cast<unsigned long long>(sock_summary.refused_connections),
-                 static_cast<unsigned long long>(sock_summary.idle_closed));
+                 static_cast<unsigned long long>(summary.connections),
+                 static_cast<unsigned long long>(summary.refused_connections),
+                 static_cast<unsigned long long>(summary.idle_closed));
   }
-
-  // One combined exit document covering both transports; the cache block
-  // is shared state, re-read last so it is the freshest view.
-  serve::ServerSummary total = summary;
-  const serve::ServerSummary& ss = sock_summary.serve;
-  total.accepted += ss.accepted;
-  total.answered += ss.answered;
-  total.ok += ss.ok;
-  total.hits += ss.hits;
-  total.errors += ss.errors;
-  total.shutdown_refused += ss.shutdown_refused;
-  total.stats_requests += ss.stats_requests;
-  total.interrupted = total.interrupted || ss.interrupted;
-  total.cache = server.engine().cache().stats();
-#else
-  if (!listen.empty()) {
-    std::fprintf(stderr, "spgcmp_serve: --listen is not supported on this platform\n");
-    return 2;
-  }
-  if (in_path.empty()) {
-    summary = server.serve(std::cin, std::cout, &stop);
-  } else {
-    std::ifstream is(in_path);
-    if (!is) throw std::runtime_error("cannot open request input " + in_path);
-    summary = server.serve(is, std::cout, &stop);
-  }
-  const serve::ServerSummary total = summary;
-#endif
-  print_summary("served", total);
-  write_stats(total);
-  return total.interrupted ? 3 : 0;
+  print_summary("served", summary.serve);
+  write_stats(summary.serve);
+  return summary.serve.interrupted ? 3 : 0;
 }
 
 int usage() {
@@ -335,7 +246,6 @@ int main(int argc, char** argv) {
   if (args.has("help")) return usage();
   return tools::run_tool("spgcmp_serve", [&]() -> int {
     if (tools::handle_list_solvers(args)) return 0;
-#ifndef _WIN32
     try {
       return serve_main(args);
     } catch (const net::NetError& e) {
@@ -344,8 +254,16 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "spgcmp_serve: %s\n", e.what());
       return 2;
     }
-#else
-    return serve_main(args);
-#endif
   });
 }
+
+#else  // _WIN32
+
+#include <cstdio>
+
+int main() {
+  std::fprintf(stderr, "spgcmp_serve: not supported on this platform\n");
+  return 2;
+}
+
+#endif  // !_WIN32
