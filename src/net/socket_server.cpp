@@ -41,6 +41,17 @@ void set_nonblocking(int fd) {
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+/// Whether a write to `fd` can go ahead at once (or fail at once: an
+/// error or hang-up is reported too, and the write then returns it).
+bool writable_now(int fd) {
+  pollfd p{fd, POLLOUT, 0};
+  int rc = 0;
+  do {
+    rc = ::poll(&p, 1, 0);
+  } while (rc < 0 && errno == EINTR);
+  return rc > 0;
+}
+
 int ms_between(Clock::time_point from, Clock::time_point to) {
   return static_cast<int>(
       std::chrono::duration_cast<std::chrono::milliseconds>(to - from).count());
@@ -48,8 +59,9 @@ int ms_between(Clock::time_point from, Clock::time_point to) {
 
 /// One connection: an accepted socket (in_fd == out_fd, nonblocking,
 /// closed by the loop) or a stream (inherited fds, left as they are).
-/// Owned by the loop thread; `ready` and `wbuf` are also touched by
-/// engine completion callbacks, always under Loop::mutex.
+/// Owned by the loop thread; `ready`, `wbuf` and what follows from
+/// writing it are also touched by engine completion callbacks, always
+/// under Loop::mutex.
 struct Conn {
   int in_fd = -1;
   int out_fd = -1;
@@ -64,7 +76,7 @@ struct Conn {
   Clock::time_point last_activity;
   bool read_closed = false;  ///< EOF seen (or reading abandoned at drain)
   bool discarding = false;   ///< oversize frame: skip until next newline
-  bool backlog = false;      ///< complete frames held back by the bound
+  bool backlog = false;      ///< complete frames held back by a bound
   bool dead = false;         ///< peer gone or idle: remove next cycle
   std::size_t read_entry = kNoEntry;   ///< this cycle's POLLIN pollfd
   std::size_t write_entry = kNoEntry;  ///< this cycle's POLLOUT pollfd
@@ -95,22 +107,21 @@ struct Loop {
   const SocketServerOptions& opt;
   const std::atomic<bool>* stop;
   const int wake_fd;        ///< write end of the self-pipe (immutable)
-  const std::size_t limit;  ///< resolved in-flight bound (immutable)
+  const std::size_t limit;  ///< resolved in-flight bounds (immutable)
 
   util::Mutex mutex;
   std::map<std::uint64_t, std::unique_ptr<Conn>> conns SPGCMP_GUARDED_BY(mutex);
   std::uint64_t next_conn_id SPGCMP_GUARDED_BY(mutex) = 0;
   std::size_t sockets SPGCMP_GUARDED_BY(mutex) = 0;  ///< open socket conns
-  /// Accepted requests whose response is not yet fully written, summed
-  /// over all connections (the bound and the serve.inflight gauge).
-  std::size_t inflight SPGCMP_GUARDED_BY(mutex) = 0;
   /// Requests handed to the engine whose completion callback has not
-  /// fired yet.  Callbacks reference this struct, so run() only returns
-  /// once this reaches zero — even for requests whose connection died.
+  /// fired yet, over all connections (the global bound).  Callbacks
+  /// reference this struct, so run() only returns once this reaches zero
+  /// — even for requests whose connection died.
   std::size_t engine_inflight SPGCMP_GUARDED_BY(mutex) = 0;
   SocketSummary summary SPGCMP_GUARDED_BY(mutex);
 
-  /// Wake the poll loop to flush freshly completed responses.
+  /// Wake the poll loop: a completion may have freed a bound, written a
+  /// connection's last answer or left bytes the peer did not take yet.
   void wake() const {
     const char b = 0;
     // A full pipe already guarantees a pending wakeup.
@@ -128,7 +139,6 @@ struct Loop {
   auto remove(std::map<std::uint64_t, std::unique_ptr<Conn>>::iterator it)
       SPGCMP_REQUIRES(mutex) {
     Conn& c = *it->second;
-    inflight -= c.inflight;
     inflight_gauge().add(-static_cast<std::int64_t>(c.inflight));
     if (c.socket) {
       ::close(c.in_fd);
@@ -159,14 +169,17 @@ struct Loop {
     c.wbuf.erase(0, n);
     c.last_activity = Clock::now();
     c.inflight -= lines;
-    inflight -= lines;
     inflight_gauge().add(-static_cast<std::int64_t>(lines));
+  }
+
+  /// Whether both bounds let `c` take another request.
+  [[nodiscard]] bool can_submit(const Conn& c) const SPGCMP_REQUIRES(mutex) {
+    return engine_inflight < limit && c.inflight < limit;
   }
 
   /// Take the next sequence slot of `c` for a request.
   std::uint64_t take_slot(Conn& c) SPGCMP_REQUIRES(mutex) {
     ++c.inflight;
-    ++inflight;
     inflight_gauge().add(1);
     return c.next_submit++;
   }
@@ -181,10 +194,14 @@ struct Loop {
                   [this, conn_id, s](serve::Engine::Result result) {
                     const util::MutexLock lk(mutex);
                     const auto it = conns.find(conn_id);
-                    if (it != conns.end()) {
-                      // A vanished client's answer has no destination.
-                      it->second->ready.emplace(s, std::move(result));
-                      drain_ready(*it->second);
+                    // A vanished client's answer has no destination.
+                    if (it != conns.end() && !it->second->dead) {
+                      Conn& c = *it->second;
+                      c.ready.emplace(s, std::move(result));
+                      drain_ready(c);
+                      // Answer without a hop through the loop when the
+                      // peer takes it now; the loop writes the rest.
+                      if (!flush(c)) c.dead = true;
                     }
                     // Still under the lock: once engine_inflight reads 0,
                     // run() may return and tear down the loop and its pipe.
@@ -211,7 +228,7 @@ struct Loop {
     while (true) {
       const auto nl = c.rbuf.find('\n', start);
       if (nl == std::string::npos) break;
-      if (inflight >= limit) {
+      if (!can_submit(c)) {
         c.backlog = true;
         break;
       }
@@ -234,7 +251,7 @@ struct Loop {
       c.discarding = true;
     }
     if (c.read_closed && !c.rbuf.empty()) {
-      if (inflight >= limit) {
+      if (!can_submit(c)) {
         c.backlog = true;
         return;
       }
@@ -244,19 +261,19 @@ struct Loop {
     }
   }
 
-  /// Write what the connection's peer accepts without blocking the loop:
-  /// a (nonblocking) socket until it would block, a stream once, at most
-  /// PIPE_BUF bytes and only after poll reported it `writable`.  Returns
-  /// false when the peer is gone.
-  bool flush(Conn& c, bool writable) SPGCMP_REQUIRES(mutex) {
-    while (!c.wbuf.empty() && (c.socket || writable)) {
+  /// Write what the connection's peer accepts without blocking: a
+  /// (nonblocking) socket until it would block; a stream at most PIPE_BUF
+  /// bytes at a time, while a zero-timeout poll reports it writable.
+  /// Returns false when the peer is gone.
+  bool flush(Conn& c) SPGCMP_REQUIRES(mutex) {
+    while (!c.wbuf.empty()) {
+      if (!c.socket && !writable_now(c.out_fd)) return true;
       const ssize_t n =
           c.socket ? ::send(c.out_fd, c.wbuf.data(), c.wbuf.size(), MSG_NOSIGNAL)
                    : ::write(c.out_fd, c.wbuf.data(),
                              std::min<std::size_t>(c.wbuf.size(), PIPE_BUF));
       if (n > 0) {
         wrote(c, static_cast<std::size_t>(n));
-        if (!c.socket) break;
         continue;
       }
       if (n < 0 && errno == EINTR) continue;
@@ -272,12 +289,14 @@ struct Loop {
 }  // namespace
 
 SocketServer::SocketServer(serve::Engine& engine, SocketServerOptions opt,
-                           Listener* listener)
-    : engine_(engine), opt_(opt), listener_(listener) {}
-
-void SocketServer::add_stream(int in_fd, int out_fd, bool log_lines) {
-  streams_.push_back({in_fd, out_fd, log_lines});
-}
+                           Listener* listener, int in_fd, int out_fd,
+                           bool log_stream)
+    : engine_(engine),
+      opt_(opt),
+      listener_(listener),
+      in_fd_(in_fd),
+      out_fd_(out_fd),
+      log_stream_(log_stream) {}
 
 SocketSummary SocketServer::run(const std::atomic<bool>* stop,
                                 const std::function<void()>& on_wake) {
@@ -294,16 +313,14 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop,
   set_nonblocking(wake[1]);
 
   Loop loop{engine_, opt_, stop, wake[1]};
-  {
+  if (in_fd_ >= 0) {
+    auto conn = std::make_unique<Conn>();
+    conn->in_fd = in_fd_;
+    conn->out_fd = out_fd_;
+    conn->socket = false;
+    conn->log_lines = log_stream_;
     const util::MutexLock lk(loop.mutex);
-    for (const Stream& s : streams_) {
-      auto conn = std::make_unique<Conn>();
-      conn->in_fd = s.in_fd;
-      conn->out_fd = s.out_fd;
-      conn->socket = false;
-      conn->log_lines = s.log_lines;
-      loop.add(std::move(conn));
-    }
+    loop.add(std::move(conn));
   }
   bool draining = false;
 
@@ -338,7 +355,7 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop,
       for (auto it = loop.conns.begin(); it != loop.conns.end();) {
         const auto id = it->first;
         Conn* c = it->second.get();
-        if (c->backlog && loop.inflight < loop.limit) loop.frame(id, *c);
+        if (c->backlog && loop.can_submit(*c)) loop.frame(id, *c);
         if (c->dead ||
             (c->read_closed && c->rbuf.empty() && c->inflight == 0)) {
           it = loop.remove(it);  // dead, or drained: every answer written
@@ -346,7 +363,7 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop,
         }
         ++it;
         c->read_entry = c->write_entry = kNoEntry;
-        if (!c->read_closed && !c->backlog && loop.inflight < loop.limit) {
+        if (!c->read_closed && !c->backlog && loop.can_submit(*c)) {
           c->read_entry = fds.size();
           fds.push_back({c->in_fd, POLLIN, 0});
         }
@@ -424,7 +441,7 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop,
         short wev = 0;
         if (rc > 0 && c.read_entry != kNoEntry) rev = fds[c.read_entry].revents;
         if (rc > 0 && c.write_entry != kNoEntry) wev = fds[c.write_entry].revents;
-        c.dead = ((rev | wev) & POLLNVAL) != 0;
+        if (((rev | wev) & POLLNVAL) != 0) c.dead = true;
 
         if (!c.dead && (rev & (POLLIN | POLLHUP | POLLERR)) != 0) {
           // One read per readiness report: a stream fd is blocking, and
@@ -444,10 +461,9 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop,
           }
         }
 
-        // Completions may have filled a socket's wbuf after this cycle's
-        // poll set was armed: flush it opportunistically.
-        if (!c.dead &&
-            !loop.flush(c, (wev & (POLLOUT | POLLHUP | POLLERR)) != 0)) {
+        // Write what the peer takes now: what a completion left behind,
+        // and in-band errors answered by this cycle's framing.
+        if (!c.dead && !loop.flush(c)) {
           c.dead = true;  // still-solving requests find it gone, discarded
         }
 
@@ -484,8 +500,7 @@ serve::ServerSummary replay_log(serve::Engine& engine, const std::string& path,
   if (in.fd < 0) throw std::runtime_error("cannot open request log " + path);
   const Fd out{::open("/dev/null", O_WRONLY | O_CLOEXEC)};
   if (out.fd < 0) throw std::runtime_error("cannot open /dev/null");
-  SocketServer loop(engine, opt);
-  loop.add_stream(in.fd, out.fd, /*log_lines=*/false);
+  SocketServer loop(engine, opt, nullptr, in.fd, out.fd, /*log_stream=*/false);
   return loop.run(nullptr).serve;
 }
 

@@ -2,17 +2,18 @@
 
 // The serve daemon's one transport: a poll(2) event loop carrying the
 // newline-delimited JSON request protocol to a serve::Engine, over the
-// sockets a net::Listener (Unix or TCP) accepts and over byte streams
-// added with add_stream() — stdin/stdout, an --in file or FIFO, a request
-// log being replayed.  Every connection, socket or stream, goes through
-// the same framing, ordering, in-flight bound and drain code.
+// sockets a net::Listener (Unix or TCP) accepts and over one optional byte
+// stream — stdin/stdout, an --in file or FIFO, a request log being
+// replayed.  Every connection, socket or stream, goes through the same
+// framing, ordering, in-flight bound and drain code.
 //
-// One thread runs the loop; solves happen on the engine's pool and
-// completions are handed back through a self-pipe wakeup.  Per connection
-// the loop keeps a read accumulator (partial frames survive short reads),
-// a write buffer (short writes survive full kernel buffers), and a
-// reorder map so responses leave in that connection's request order —
-// the one place a request's sequence number meets its response.
+// One thread runs the loop; solves happen on the engine's pool.  Per
+// connection the loop keeps a read accumulator (partial frames survive
+// short reads), a write buffer (short writes survive full kernel buffers),
+// and a reorder map so responses leave in that connection's request order
+// — the one place a request's sequence number meets its response.  A
+// completion writes what its connection's peer accepts right away, from
+// the pool worker, and wakes the loop through a self-pipe for the rest.
 //
 // Protocol edges, all answered in-band:
 //   - a frame longer than max_frame_bytes is answered with a code-2 error
@@ -28,17 +29,23 @@
 //     solves are refused code 3), write buffers flush, and run() returns
 //     with `interrupted` set.
 //
-// Backpressure: once max_inflight requests are accepted but their
-// responses not yet written out, summed over all connections, the loop
-// stops framing and reading until one is — a slow head-of-line request
-// or a slow reader holds the input back instead of growing buffers.  The
-// `serve.inflight` gauge tracks that sum.
+// Backpressure, two bounds of max_inflight requests each: requests handed
+// to the engine and not yet completed, summed over all connections; and,
+// per connection, requests accepted but whose responses are not yet
+// written out.  Past the first the loop stops reading every connection
+// until a solve completes; past the second it stops reading that one
+// connection until its peer takes an answer — a slow head-of-line request
+// or a peer that stops reading holds back its own input, not the other
+// connections', and no buffer grows without bound.  The `serve.inflight`
+// gauge counts accepted-but-unwritten requests over all connections.
 //
 // Stream fds are used as inherited: the loop never sets O_NONBLOCK on
-// them, reads once per POLLIN and writes at most PIPE_BUF bytes per
-// POLLOUT, so neither call blocks the loop on a pipe or a file.  A stream
-// whose reader went away surfaces as EPIPE only where SIGPIPE is ignored,
-// as spgcmp_serve does.
+// them, reads once per POLLIN, and writes at most PIPE_BUF bytes at a time
+// and only while a zero-timeout poll reports the fd writable, so neither
+// call blocks on a pipe or a file.  A stream whose reader went away
+// surfaces as EPIPE only where SIGPIPE is ignored, as spgcmp_serve does.
+// A FIFO may be handed over before any writer opened it (opened with
+// O_NONBLOCK): the loop waits for the writer's data and its EOF.
 //
 // Idle socket connections (no activity for idle_timeout_ms, nothing in
 // flight) are closed quietly, so a forgotten client cannot hold a
@@ -48,7 +55,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "net/net.hpp"
 #include "serve/engine.hpp"
@@ -59,9 +65,9 @@ namespace spgcmp::net {
 
 struct SocketServerOptions {
   std::size_t max_connections = 64;  ///< concurrent socket clients; 0 = unlimited
-  /// Max accepted requests whose responses are not yet written out,
-  /// summed over all connections, before the loop stops reading;
-  /// 0 = 4x the engine's pool size.
+  /// Max requests handed to the engine and not yet completed (all
+  /// connections), and max requests accepted but not yet written out (per
+  /// connection); 0 = 4x the engine's pool size.
   std::size_t max_inflight = 0;
   std::size_t max_frame_bytes = 1 << 20;  ///< request line length cap
   int idle_timeout_ms = 0;  ///< close idle socket connections; 0 = never
@@ -77,18 +83,17 @@ struct SocketSummary {
 class SocketServer {
  public:
   /// `listener` (may be null) is accepted from until the stop flag rises.
+  /// `in_fd`/`out_fd` (-1 = none) are served as one stream connection:
+  /// request lines are read from `in_fd` and responses written to
+  /// `out_fd`.  Their flags stay as they are and the loop never closes
+  /// them.  The stream is neither counted in `connections` nor capped by
+  /// max_connections.  `log_stream = false` keeps its lines out of the
+  /// request log (a replay).
   SocketServer(serve::Engine& engine, SocketServerOptions opt,
-               Listener* listener = nullptr);
+               Listener* listener = nullptr, int in_fd = -1, int out_fd = -1,
+               bool log_stream = true);
 
-  /// Serve one byte stream as a connection: request lines are read from
-  /// `in_fd` and responses written to `out_fd`.  The fds' flags stay as
-  /// they are and the loop never closes them.  A stream is neither
-  /// counted in `connections` nor capped by max_connections.
-  /// `log_lines = false` keeps its lines out of the request log (a
-  /// replay).  Call before run().
-  void add_stream(int in_fd, int out_fd, bool log_lines = true);
-
-  /// Run the loop until the stop flag rises or, without a listener, every
+  /// Run the loop until the stop flag rises or, without a listener, the
   /// stream has reached EOF and drained; see the header comment.  Returns
   /// after every accepted request was answered and every write buffer
   /// flushed (or its connection died).  `on_wake` (may be empty) runs on
@@ -97,16 +102,12 @@ class SocketServer {
                     const std::function<void()>& on_wake = {});
 
  private:
-  struct Stream {
-    int in_fd;
-    int out_fd;
-    bool log_lines;
-  };
-
   serve::Engine& engine_;
   SocketServerOptions opt_;
   Listener* listener_;
-  std::vector<Stream> streams_;
+  int in_fd_;
+  int out_fd_;
+  bool log_stream_;
 };
 
 /// Feed a request log (as written via serve::EngineOptions::log_path) back

@@ -1,18 +1,22 @@
 // Tests for the daemon's poll loop: address parsing, concurrent socket
 // clients with per-connection response ordering and a shared cache, a
-// stream connection and a socket sharing one loop, oversized and torn
-// frames answered in-band with code 2 through either door, mid-request
-// disconnects that must not wedge the daemon, the connection cap's code-3
-// refusal, idle timeouts, the stats scrape document, the serve.inflight
-// gauge, and the drain-on-stop contract (every accepted request answered,
-// connections closed, run() returns interrupted).
+// stream connection and a socket sharing one loop, sockets served while a
+// FIFO stream has no writer yet, oversized and torn frames answered
+// in-band with code 2 through every door, mid-request disconnects that
+// must not wedge the daemon, a client that stops reading holding back
+// only its own connection, the connection cap's code-3 refusal, idle
+// timeouts, the stats scrape document, the serve.inflight gauge, and the
+// drain-on-stop contract (every accepted request answered, connections
+// closed, run() returns interrupted).
 
 #include <gtest/gtest.h>
 
 #ifndef _WIN32
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -23,6 +27,7 @@
 #include <filesystem>
 #include <future>
 #include <initializer_list>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -72,12 +77,18 @@ std::string report_tail(const std::string& line) {
   return pos == std::string::npos ? std::string() : line.substr(pos);
 }
 
-/// The two ways a request reaches the loop: an accepted socket, or the
-/// stdin/--in byte stream.
-enum class Door { Socket, Stream };
+/// The ways a request reaches the loop: an accepted socket, or the
+/// stdin/--in byte stream — a pipe, or a FIFO handed to the loop before
+/// any writer opened it (spgcmp_serve --in=FIFO --listen).
+enum class Door { Socket, Stream, Fifo };
 
 std::string door_name(const ::testing::TestParamInfo<Door>& info) {
-  return info.param == Door::Socket ? "Socket" : "Stream";
+  switch (info.param) {
+    case Door::Socket: return "Socket";
+    case Door::Stream: return "Stream";
+    case Door::Fifo: return "Fifo";
+  }
+  return "";
 }
 
 /// A blocking line-framed client over a write fd and a read fd (one
@@ -150,8 +161,8 @@ class Client {
 
 /// A serve daemon's poll loop on a background thread, with the doors
 /// asked for: a listener on a fresh Unix socket, and/or one stream
-/// connection over two pipes.  stop()/summary() end the loop and hand
-/// back what it did.
+/// connection reading a pipe or a writerless FIFO and writing a pipe.
+/// finish() ends the loop and hands back what it did.
 class SocketDaemon {
  public:
   explicit SocketDaemon(net::SocketServerOptions opt = {},
@@ -166,17 +177,25 @@ class SocketDaemon {
     // A stream client that stops reading must surface as EPIPE, as in
     // spgcmp_serve, not kill the test binary.
     std::signal(SIGPIPE, SIG_IGN);
-    bool stream = false;
     for (const Door d : doors) {
       if (d == Door::Socket) listener_.emplace(net::parse_address(path_));
-      if (d == Door::Stream) stream = true;
+      if (d == Door::Stream) {
+        EXPECT_EQ(::pipe(in_), 0);
+      }
+      if (d == Door::Fifo) {
+        fifo_ = path_ + ".fifo";
+        EXPECT_EQ(::mkfifo(fifo_.c_str(), 0600), 0);
+        // Like spgcmp_serve with --listen: opened without waiting for a
+        // writer, which connect(Door::Fifo) opens later.
+        in_[0] = ::open(fifo_.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+        EXPECT_GE(in_[0], 0);
+      }
+      if (d != Door::Socket) {
+        EXPECT_EQ(::pipe(out_), 0);
+      }
     }
-    sock_.emplace(engine_, opt, listener_ ? &*listener_ : nullptr);
-    if (stream) {
-      EXPECT_EQ(::pipe(in_), 0);
-      EXPECT_EQ(::pipe(out_), 0);
-      sock_->add_stream(in_[0], out_[1]);
-    }
+    sock_.emplace(engine_, opt, listener_ ? &*listener_ : nullptr, in_[0],
+                  out_[1]);
     thread_ = std::thread([this] {
       summary_ = sock_->run(&stop_);
       // Like the daemon exiting: the stream's reader sees EOF.
@@ -188,15 +207,18 @@ class SocketDaemon {
   ~SocketDaemon() {
     (void)finish();
     if (in_[0] >= 0) ::close(in_[0]);
+    if (!fifo_.empty()) ::unlink(fifo_.c_str());
   }
 
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] serve::Engine& engine() { return engine_; }
 
   /// A client through `door`: a fresh socket connection, or the one
-  /// stream's far ends (the client owns them; take it once).
+  /// stream's far ends (the client owns them; take it once).  A FIFO's
+  /// write end is opened here: the FIFO's first writer.
   [[nodiscard]] std::unique_ptr<Client> connect(Door door) {
     if (door == Door::Socket) return std::make_unique<Client>(path_);
+    if (door == Door::Fifo) in_[1] = ::open(fifo_.c_str(), O_WRONLY | O_CLOEXEC);
     auto c = std::make_unique<Client>(in_[1], out_[0]);
     in_[1] = out_[0] = -1;
     return c;
@@ -215,6 +237,7 @@ class SocketDaemon {
   serve::Engine engine_;
   std::optional<net::Listener> listener_;
   std::optional<net::SocketServer> sock_;
+  std::string fifo_;       ///< the FIFO's path (Door::Fifo)
   int in_[2] = {-1, -1};   ///< stream input: loop reads [0], client writes [1]
   int out_[2] = {-1, -1};  ///< stream output: loop writes [1], client reads [0]
   std::atomic<bool> stop_{false};
@@ -357,7 +380,8 @@ TEST_P(FrameRules, TornFinalFrameAnsweredCode2ThenEof) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Doors, FrameRules,
-                         ::testing::Values(Door::Socket, Door::Stream),
+                         ::testing::Values(Door::Socket, Door::Stream,
+                                           Door::Fifo),
                          door_name);
 
 TEST(SocketServer, StreamAndSocketShareOneLoopAndOneCache) {
@@ -391,6 +415,74 @@ TEST(SocketServer, StreamAndSocketShareOneLoopAndOneCache) {
   EXPECT_EQ(summary.serve.answered, 3u);
   EXPECT_EQ(summary.serve.hits, 1u);
   EXPECT_EQ(summary.serve.cache.misses, 2u);
+}
+
+TEST(SocketServer, SocketAnsweredWhileTheFifoHasNoWriter) {
+  SocketDaemon daemon({}, /*threads=*/2, {Door::Socket, Door::Fifo});
+  Client sock(daemon.path());
+  sock.send(gen_request(1, 5) + "\n");
+  const auto cold = sock.recv_line();  // no FIFO writer has appeared yet
+  ASSERT_TRUE(cold.has_value());
+  EXPECT_EQ(util::parse_json(*cold).at("cache").as_string("cache"), "miss");
+
+  // The FIFO's first writer is then served as usual, from the same cache,
+  // and its close ends the stream.
+  const auto fifo = daemon.connect(Door::Fifo);
+  fifo->send(gen_request(2, 5) + "\n");
+  const auto hit = fifo->recv_line();
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(util::parse_json(*hit).at("cache").as_string("cache"), "hit");
+  EXPECT_EQ(report_tail(*cold), report_tail(*hit));
+  fifo->shutdown_write();
+
+  sock.close_now();
+  const auto summary = daemon.finish();
+  EXPECT_EQ(summary.serve.accepted, 2u);
+  EXPECT_EQ(summary.serve.answered, 2u);
+}
+
+TEST(SocketServer, StalledReaderHoldsBackOnlyItsOwnConnection) {
+  net::SocketServerOptions opt;
+  opt.max_inflight = 2;
+  SocketDaemon daemon(opt, /*threads=*/2);
+
+  Client warm(daemon.path());
+  warm.send(gen_request(1, 5) + "\n");
+  ASSERT_TRUE(warm.recv_line().has_value());  // the problem is now cached
+
+  // A client that pipelines cache hits and never reads: once its answers
+  // fill the socket buffers and its unwritten cap, the daemon stops
+  // reading it, and its sends stop going through.
+  const int stalled = net::connect_to(net::parse_address(daemon.path()));
+  // Closed on every exit, so the daemon's drain can drop the connection.
+  const std::unique_ptr<const int, void (*)(const int*)> closer(
+      &stalled, [](const int* fd) { ::close(*fd); });
+  std::string burst;
+  for (int i = 0; i < 64; ++i) burst += gen_request(2, 5) + "\n";
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  bool jammed = false;
+  while (!jammed && std::chrono::steady_clock::now() < deadline) {
+    const ssize_t n =
+        ::send(stalled, burst.data(), burst.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0 || errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
+      pollfd p{stalled, POLLOUT, 0};
+      jammed = ::poll(&p, 1, 500) == 0;  // no room for half a second
+    } else {
+      FAIL() << "send failed: " << std::strerror(errno);
+    }
+  }
+  ASSERT_TRUE(jammed);
+
+  // Every other connection is still read and answered.
+  Client other(daemon.path());
+  other.send(gen_request(3, 5) + "\n");
+  const auto ok = other.recv_line();
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(util::parse_json(*ok).at("status").as_string("status"), "ok");
+  EXPECT_EQ(util::parse_json(*ok).at("id").as_number("id"), 3.0);
+
+  other.close_now();
+  warm.close_now();
 }
 
 TEST(SocketServer, InflightGaugeCountsASlowRequestUntilWritten) {

@@ -118,8 +118,7 @@ ServeRun run_lines(serve::Engine& engine, const std::vector<std::string>& reques
   EXPECT_TRUE(in != nullptr && out != nullptr);
   EXPECT_EQ(::pwrite(fileno(in), text.data(), text.size(), 0),
             static_cast<ssize_t>(text.size()));
-  net::SocketServer loop(engine, {});
-  loop.add_stream(fileno(in), fileno(out));
+  net::SocketServer loop(engine, {}, nullptr, fileno(in), fileno(out));
   ServeRun run;
   run.summary = loop.run(stop).serve;
   run.lines = lines_of(read_all(out));
@@ -453,8 +452,7 @@ TEST(Server, ShutdownDrainAnswersEveryAcceptedRequest) {
             static_cast<ssize_t>(text.size()));
   std::FILE* out = std::tmpfile();
   ASSERT_NE(out, nullptr);
-  net::SocketServer loop(engine, {});
-  loop.add_stream(in[0], fileno(out));
+  net::SocketServer loop(engine, {}, nullptr, in[0], fileno(out));
   serve::ServerSummary summary;
   std::thread runner([&] { summary = loop.run(&stop).serve; });
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);

@@ -23,13 +23,17 @@
 // connection, responses leave in that connection's request order.
 // --listen may coexist with --in; with --listen alone stdin is left
 // untouched, and with a listener the daemon runs until SIGINT/SIGTERM
-// even after the stream's EOF.  --max-conns caps concurrent socket
-// connections (excess ones are answered with one code-3 error line and
-// closed), --idle-timeout-ms closes idle socket connections,
-// --max-frame-bytes bounds a request line on every connection (oversized
-// frames answer code 2 and the connection resyncs at the next newline),
-// and --max-inflight bounds the requests accepted but not yet written,
-// over all connections (default 4x the pool size).
+// even after the stream's EOF.  Without --listen a FIFO --in is opened
+// before serving starts (the open waits for a writer); with --listen it
+// is opened without waiting, so sockets are served while the FIFO still
+// has no writer.  --max-conns caps concurrent socket connections (excess
+// ones are answered with one code-3 error line and closed),
+// --idle-timeout-ms closes idle socket connections, --max-frame-bytes
+// bounds a request line on every connection (oversized frames answer
+// code 2 and the connection resyncs at the next newline), and
+// --max-inflight bounds both the requests being solved, over all
+// connections, and per connection the requests accepted but not yet
+// written (default 4x the pool size).
 //
 // --log=FILE appends every accepted request line verbatim to an
 // append-only JSONL log; --replay=FILE feeds such a log back through the
@@ -104,10 +108,13 @@ void maybe_dump_metrics() {
 
 /// Open a request input, retrying the (FIFO-blocking) open on EINTR until
 /// the stop flag is raised.  Returns -1 when stopped before a writer
-/// appeared.
-int open_request_input(const std::string& path, const std::atomic<bool>& stop) {
+/// appeared.  `wait_for_writer = false` opens a FIFO at once (O_NONBLOCK;
+/// the loop then waits for the writer's data in poll).
+int open_request_input(const std::string& path, const std::atomic<bool>& stop,
+                       bool wait_for_writer) {
+  const int flags = O_RDONLY | O_CLOEXEC | (wait_for_writer ? 0 : O_NONBLOCK);
   for (;;) {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    const int fd = ::open(path.c_str(), flags);
     if (fd >= 0) return fd;
     if (errno == EINTR) {
       if (stop.load(std::memory_order_relaxed)) return -1;
@@ -193,19 +200,19 @@ int serve_main(const util::Args& args) {
     std::fprintf(stderr, "[serve] listening on %s\n",
                  listener->address().to_string().c_str());
   }
-  net::SocketServer loop(engine, sopt, listener ? &*listener : nullptr);
 
   // A FIFO blocks open() until a writer appears; opened fresh here so the
   // daemon can be started before its first client.  Stopped before one
-  // appeared, the loop starts draining with nothing to drain.
+  // appeared, the loop starts draining with nothing to drain.  With a
+  // listener the open must not wait: sockets are served meanwhile.
   int in_fd = -1;
   if (!in_path.empty()) {
-    in_fd = open_request_input(in_path, stop);
+    in_fd = open_request_input(in_path, stop, /*wait_for_writer=*/!listener);
   } else if (listen.empty()) {
     in_fd = STDIN_FILENO;
   }
-  if (in_fd >= 0) loop.add_stream(in_fd, STDOUT_FILENO);
-
+  net::SocketServer loop(engine, sopt, listener ? &*listener : nullptr, in_fd,
+                         in_fd >= 0 ? STDOUT_FILENO : -1);
   const net::SocketSummary summary = loop.run(&stop, maybe_dump_metrics);
   if (!in_path.empty() && in_fd >= 0) ::close(in_fd);
   if (listener) {
