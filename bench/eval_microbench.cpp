@@ -19,9 +19,9 @@
 // off-path cost.
 //
 // BENCH_eval.json additionally carries one "solver" cell per registry
-// solver — the SolveReport wall time, evaluator call count and fast-path
-// share of a single n=50 / 4x4 solve — giving perf work a per-solver
-// trajectory across commits for free.
+// solver (a post-pass as greedy+<name>) — the SolveReport wall time,
+// evaluator call count and fast-path share of a single n=50 / 4x4 solve —
+// giving perf work a per-solver trajectory across commits for free.
 //
 // Flags: --moves=N probe count per scenario (default 2000)   [REPRO_MOVES]
 //        --seed=S  workload seed (default 42)
@@ -66,11 +66,15 @@ struct SeedMapping {
 
 SeedMapping find_seed(const spg::Spg& g, const cmp::Platform& p) {
   double T = g.total_work() / (0.5 * p.grid().core_count() * 0.6e9);
-  const auto hs = heuristics::make_paper_heuristics();
+  const auto paper = solve::SolverSet::paper();
+  solve::SolveRequest req;
+  req.spg = &g;
+  req.platform = &p;
   for (int relax = 0; relax < 24; ++relax, T *= 2.0) {
-    for (const auto& h : hs) {
-      auto r = h->run(g, p, T);
-      if (r.success) return SeedMapping{std::move(r.mapping), T};
+    req.period = T;
+    for (const auto& spec : paper.specs()) {
+      auto rep = solve::run(spec, req);
+      if (rep.result.success) return SeedMapping{std::move(rep.result.mapping), T};
     }
   }
   throw std::runtime_error("eval_microbench: no valid seed mapping found");
@@ -537,7 +541,11 @@ int main(int argc, char** argv) try {
     req.platform = &p;
     req.period = find_seed(g, p).T;
     req.seed = seed;
-    for (const auto& name : solve::SolverRegistry::instance().names()) {
+    const auto& registry = solve::SolverRegistry::instance();
+    for (const auto& solver : registry.names()) {
+      // A post-pass runs behind greedy, its one spelling's usual base.
+      const std::string name =
+          registry.info(solver).post_pass ? "greedy+" + solver : solver;
       const auto solved = solve::run(name, req);
       const double wall_us = solved.stats.wall_seconds * 1e6;
       const auto calls = static_cast<double>(solved.stats.evaluator_calls());

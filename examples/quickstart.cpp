@@ -9,7 +9,6 @@
 #include <iostream>
 
 #include "harness/experiment.hpp"
-#include "heuristics/heuristic.hpp"
 #include "sim/simulator.hpp"
 #include "spg/compose.hpp"
 #include "util/cli.hpp"
@@ -42,19 +41,19 @@ int main(int argc, char** argv) {
   util::Table table({"heuristic", "status", "energy (mJ)", "cores", "period (ms)"});
   std::string best_name;
   heuristics::Result best_result;
-  const auto heuristic_set = heuristics::make_paper_heuristics();
-  for (const auto& h : heuristic_set) {
-    const auto r = h->run(app, platform, T);
+  const auto c = harness::run_at_period(app, platform, solve::SolverSet::paper(), T);
+  for (std::size_t h = 0; h < c.results.size(); ++h) {
+    const auto& r = c.results[h];
     if (r.success) {
-      table.add_row({h->name(), "ok", util::fmt_double(r.eval.energy * 1e3),
+      table.add_row({c.names[h], "ok", util::fmt_double(r.eval.energy * 1e3),
                      std::to_string(r.eval.active_cores),
                      util::fmt_double(r.eval.period * 1e3)});
       if (best_name.empty() || r.eval.energy < best_result.eval.energy) {
-        best_name = h->name();
+        best_name = c.names[h];
         best_result = r;
       }
     } else {
-      table.add_row({h->name(), "FAIL: " + r.failure, "-", "-", "-"});
+      table.add_row({c.names[h], "FAIL: " + r.failure, "-", "-", "-"});
     }
   }
   table.print(std::cout);

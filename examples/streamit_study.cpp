@@ -34,8 +34,7 @@ int main(int argc, char** argv) {
   }
 
   const auto platform = cmp::Platform::reference(rows, cols);
-  const auto hs = heuristics::make_paper_heuristics();
-  const auto campaign = harness::run_campaign(g, platform, hs);
+  const auto campaign = harness::run_campaign(g, platform, solve::SolverSet::paper());
   std::printf("Retained period bound: %g s\n\n", campaign.period);
 
   util::Table t({"heuristic", "status", "energy (mJ)", "E/Emin", "comp (mJ)",

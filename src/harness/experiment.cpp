@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-
-#include "harness/sweep_engine.hpp"
-#include "util/thread_pool.hpp"
+#include <memory>
 
 namespace spgcmp::harness {
 
@@ -35,18 +33,22 @@ std::size_t Campaign::success_count() const {
   return c;
 }
 
-Campaign run_at_period(const spg::Spg& g, const cmp::Platform& p,
-                       const HeuristicSet& hs, double T) {
+namespace {
+
+using Solvers = std::vector<std::unique_ptr<heuristics::Heuristic>>;
+
+Campaign run_solvers(const spg::Spg& g, const cmp::Platform& p,
+                     const Solvers& solvers, double T) {
   Campaign c;
   c.period = T;
-  c.names.reserve(hs.size());
-  c.results.reserve(hs.size());
-  c.stats.reserve(hs.size());
+  c.names.reserve(solvers.size());
+  c.results.reserve(solvers.size());
+  c.stats.reserve(solvers.size());
   solve::SolveRequest req;
   req.spg = &g;
   req.platform = &p;
   req.period = T;
-  for (const auto& h : hs) {
+  for (const auto& h : solvers) {
     c.names.push_back(h->name());
     auto report = solve::run(*h, req);
     c.results.push_back(std::move(report.result));
@@ -55,28 +57,26 @@ Campaign run_at_period(const spg::Spg& g, const cmp::Platform& p,
   return c;
 }
 
+}  // namespace
+
 Campaign run_at_period(const spg::Spg& g, const cmp::Platform& p,
                        const solve::SolverSet& solvers, double T) {
-  return run_at_period(g, p, solvers.instantiate(), T);
+  return run_solvers(g, p, solvers.instantiate(), T);
 }
 
 Campaign run_campaign(const spg::Spg& g, const cmp::Platform& p,
                       const solve::SolverSet& solvers,
                       const PeriodSearchOptions& opt) {
-  return run_campaign(g, p, solvers.instantiate(), opt);
-}
-
-Campaign run_campaign(const spg::Spg& g, const cmp::Platform& p,
-                      const HeuristicSet& hs, const PeriodSearchOptions& opt) {
+  const Solvers hs = solvers.instantiate();
   double T = opt.start;
-  Campaign cur = run_at_period(g, p, hs, T);
+  Campaign cur = run_solvers(g, p, hs, T);
 
   // Defensive: if even T = 1 s is infeasible for every heuristic, scale up
   // (does not happen for the paper's parameterizations; needed for
   // user-supplied extreme workloads).
   for (int up = 0; cur.success_count() == 0 && up < opt.max_upscale; ++up) {
     T *= opt.factor;
-    cur = run_at_period(g, p, hs, T);
+    cur = run_solvers(g, p, hs, T);
   }
   if (cur.success_count() == 0) return cur;  // give up; caller sees failures
 
@@ -84,28 +84,12 @@ Campaign run_campaign(const spg::Spg& g, const cmp::Platform& p,
   for (;;) {
     const double next_T = T / opt.factor;
     if (next_T < opt.floor) break;
-    Campaign next = run_at_period(g, p, hs, next_T);
+    Campaign next = run_solvers(g, p, hs, next_T);
     if (next.success_count() == 0) break;
     T = next_T;
     cur = std::move(next);
   }
   return cur;
-}
-
-SweepCell sweep(const std::function<spg::Spg(std::size_t)>& make_workload,
-                std::size_t count, const cmp::Platform& p,
-                const std::function<HeuristicSet()>& make_heuristics,
-                std::size_t threads) {
-  std::vector<Campaign> campaigns(count);
-  util::parallel_for(
-      0, count,
-      [&](std::size_t w) {
-        const spg::Spg g = make_workload(w);
-        const HeuristicSet hs = make_heuristics();
-        campaigns[w] = run_campaign(g, p, hs);
-      },
-      threads);
-  return SweepEngine::aggregate(campaigns);
 }
 
 }  // namespace spgcmp::harness

@@ -8,10 +8,12 @@
 // *all* heuristics fail, and retain the penultimate value.  The heuristics
 // are then compared at that retained bound; individual failures at the
 // retained bound are what Tables 2 and 3 count.
+//
+// The line-up is always a solve::SolverSet (registry spec strings); every
+// solve goes through solve::run.  The Section 4.4 ILP is not part of any
+// line-up: it has no linked solver, and `spgcmp_cli ilp` exports it.
 
 #include <cstddef>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,11 +23,6 @@
 #include "spg/spg.hpp"
 
 namespace spgcmp::harness {
-
-/// An instantiated solver line-up.  Prefer carrying a solve::SolverSet
-/// (names + options, thread-safe to re-instantiate) and materializing one
-/// of these per worker.
-using HeuristicSet = std::vector<std::unique_ptr<heuristics::Heuristic>>;
 
 /// Outcome of one workload at the retained period bound.
 struct Campaign {
@@ -50,19 +47,13 @@ struct PeriodSearchOptions {
   int max_upscale = 6;    ///< if nothing succeeds at start, multiply up
 };
 
-/// Run all heuristics with the paper's period-bound search.
-[[nodiscard]] Campaign run_campaign(const spg::Spg& g, const cmp::Platform& p,
-                                    const HeuristicSet& hs,
-                                    const PeriodSearchOptions& opt = {});
-
-/// Run all heuristics at a fixed period bound.
-[[nodiscard]] Campaign run_at_period(const spg::Spg& g, const cmp::Platform& p,
-                                     const HeuristicSet& hs, double T);
-
-/// SolverSet conveniences: instantiate the set once and run it.
+/// Run every solver of the set with the paper's period-bound search.  The
+/// set is instantiated once per call and reused at every step.
 [[nodiscard]] Campaign run_campaign(const spg::Spg& g, const cmp::Platform& p,
                                     const solve::SolverSet& solvers,
                                     const PeriodSearchOptions& opt = {});
+
+/// Run every solver of the set at a fixed period bound.
 [[nodiscard]] Campaign run_at_period(const spg::Spg& g, const cmp::Platform& p,
                                      const solve::SolverSet& solvers, double T);
 
@@ -73,12 +64,5 @@ struct SweepCell {
   std::vector<std::size_t> failures;        ///< per heuristic
   std::size_t workloads = 0;
 };
-
-/// Aggregate campaigns over `count` workloads produced by `make_workload`.
-/// Runs workloads in parallel (`threads` 0 = hardware concurrency).
-[[nodiscard]] SweepCell sweep(
-    const std::function<spg::Spg(std::size_t)>& make_workload, std::size_t count,
-    const cmp::Platform& p,
-    const std::function<HeuristicSet()>& make_heuristics, std::size_t threads = 0);
 
 }  // namespace spgcmp::harness

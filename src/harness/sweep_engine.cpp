@@ -14,11 +14,6 @@
 
 namespace spgcmp::harness {
 
-HeuristicFactory solver_factory(const solve::SolverSet& solvers) {
-  // By-value capture: the factory outlives the caller's SolverSet.
-  return [solvers] { return solvers.instantiate(); };
-}
-
 std::uint64_t instance_seed(std::uint64_t base, std::uint64_t index) noexcept {
   // Two splitmix64 steps over a combined state: both inputs avalanche, so
   // (base, 0), (base, 1), ... are decorrelated streams and distinct bases
@@ -29,38 +24,14 @@ std::uint64_t instance_seed(std::uint64_t base, std::uint64_t index) noexcept {
   return out;
 }
 
-std::vector<Campaign> SweepEngine::run_generated(
-    std::size_t count, std::uint64_t seed_base, const WorkloadFactory& make,
-    const cmp::Platform& p, const HeuristicFactory& make_heuristics) const {
-  std::vector<Campaign> campaigns(count);
-  util::parallel_for(
-      0, count,
-      [&](std::size_t w) {
-        obs::Span span("sweep.instance");
-        if (span.active()) span.detail("index", static_cast<std::uint64_t>(w));
-        util::Rng rng(instance_seed(seed_base, w));
-        const spg::Spg g = make(w, rng);
-        const HeuristicSet hs = make_heuristics();
-        campaigns[w] = run_campaign(g, p, hs, opt_.period);
-      },
-      opt_.threads);
-  return campaigns;
-}
-
 std::size_t normalize_threads(std::size_t threads) noexcept {
   if (threads != 0) return threads;
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-std::vector<Campaign> SweepEngine::run_tasks(
-    const std::vector<GeneratedTask>& tasks, const cmp::Platform& p,
-    const HeuristicFactory& make_heuristics) const {
-  return run_task_slice(tasks, 0, tasks.size(), p, make_heuristics);
-}
-
 std::vector<Campaign> SweepEngine::run_task_slice(
     const std::vector<GeneratedTask>& tasks, std::size_t begin, std::size_t end,
-    const cmp::Platform& p, const HeuristicFactory& make_heuristics) const {
+    const cmp::Platform& p, const solve::SolverSet& solvers) const {
   assert(begin <= end && end <= tasks.size());
   std::vector<Campaign> campaigns(end - begin);
   util::parallel_for(
@@ -70,26 +41,9 @@ std::vector<Campaign> SweepEngine::run_task_slice(
         if (span.active()) span.detail("index", static_cast<std::uint64_t>(t));
         util::Rng rng(tasks[t].seed);
         const spg::Spg g = tasks[t].make(rng);
-        const HeuristicSet hs = make_heuristics();
-        campaigns[t - begin] = run_campaign(g, p, hs, opt_.period);
+        campaigns[t - begin] = run_campaign(g, p, solvers, opt_.period);
       },
       normalize_threads(opt_.threads));
-  return campaigns;
-}
-
-std::vector<Campaign> SweepEngine::run_fixed(
-    const std::vector<spg::Spg>& workloads, const cmp::Platform& p,
-    const HeuristicFactory& make_heuristics) const {
-  std::vector<Campaign> campaigns(workloads.size());
-  util::parallel_for(
-      0, workloads.size(),
-      [&](std::size_t w) {
-        obs::Span span("sweep.instance");
-        if (span.active()) span.detail("index", static_cast<std::uint64_t>(w));
-        const HeuristicSet hs = make_heuristics();
-        campaigns[w] = run_campaign(workloads[w], p, hs, opt_.period);
-      },
-      opt_.threads);
   return campaigns;
 }
 

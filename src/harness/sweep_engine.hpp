@@ -4,7 +4,8 @@
 //
 // Every table and figure of Section 6.2 is an aggregation over independent
 // (workload, platform, period-search) campaigns.  The engine batches those
-// campaigns through util::ThreadPool with three guarantees:
+// campaigns through util::ThreadPool — one loop, run_task_slice, over
+// seeded generation tasks and a solve::SolverSet — with three guarantees:
 //
 //   1. Deterministic per-instance seeding: instance w of a batch draws all
 //      randomness from Rng(instance_seed(seed_base, w)), never from shared
@@ -15,6 +16,9 @@
 //   3. Structured emission: a BenchReport collects named cells and writes a
 //      BENCH_<name>.json document for downstream tooling, alongside the
 //      console tables the bench binaries already print.
+//
+// A sweep's line-up is a registry solver set.  The Section 4.4 ILP is not
+// one of its solvers: it is the `spgcmp_cli ilp` subcommand.
 
 #include <cstdint>
 #include <functional>
@@ -27,13 +31,6 @@
 #include "util/rng.hpp"
 
 namespace spgcmp::harness {
-
-/// Mints a fresh HeuristicSet per sweep instance, so every worker thread
-/// owns its solvers.  solver_factory() adapts a solve::SolverSet; the
-/// function form remains for callers with hand-built sets.
-using HeuristicFactory = std::function<HeuristicSet()>;
-
-[[nodiscard]] HeuristicFactory solver_factory(const solve::SolverSet& solvers);
 
 struct SweepEngineOptions {
   std::size_t threads = 0;          ///< 0 = hardware concurrency
@@ -57,64 +54,25 @@ class SweepEngine {
 
   [[nodiscard]] const SweepEngineOptions& options() const noexcept { return opt_; }
 
-  /// Workload factory for generated batches: build instance `index` using
-  /// only the supplied generator (already seeded with
-  /// instance_seed(seed_base, index)).
-  using WorkloadFactory = std::function<spg::Spg(std::size_t index, util::Rng& rng)>;
-
-  /// Run a full period-search campaign for each of `count` generated
-  /// workloads.  Returns one Campaign per instance, in index order.
-  [[nodiscard]] std::vector<Campaign> run_generated(
-      std::size_t count, std::uint64_t seed_base, const WorkloadFactory& make,
-      const cmp::Platform& p, const HeuristicFactory& make_heuristics) const;
-  [[nodiscard]] std::vector<Campaign> run_generated(
-      std::size_t count, std::uint64_t seed_base, const WorkloadFactory& make,
-      const cmp::Platform& p, const solve::SolverSet& solvers) const {
-    return run_generated(count, seed_base, make, p, solver_factory(solvers));
-  }
-
-  /// Run a campaign for each fixed workload (e.g. the StreamIt suite at a
-  /// given CCR).  Returns one Campaign per workload, in input order.
-  [[nodiscard]] std::vector<Campaign> run_fixed(
-      const std::vector<spg::Spg>& workloads, const cmp::Platform& p,
-      const HeuristicFactory& make_heuristics) const;
-  [[nodiscard]] std::vector<Campaign> run_fixed(
-      const std::vector<spg::Spg>& workloads, const cmp::Platform& p,
-      const solve::SolverSet& solvers) const {
-    return run_fixed(workloads, p, solver_factory(solvers));
-  }
-
-  /// One explicitly-seeded generation task for structured sweeps (e.g. the
-  /// flattened (ccr, elevation, workload) batches behind Figures 10-13,
-  /// whose seeds must stay stable when the elevation grid is subset).
+  /// One explicitly-seeded generation task: a batch of generated workloads
+  /// is a vector of these, instance w seeded with instance_seed(base, w),
+  /// or with seeds that stay stable when a grid is subset (the flattened
+  /// (ccr, elevation, workload) batches behind Figures 10-13).
   struct GeneratedTask {
     std::uint64_t seed = 0;
     std::function<spg::Spg(util::Rng&)> make;
   };
 
-  /// Run a campaign per task; task t builds its workload from Rng(t.seed).
-  [[nodiscard]] std::vector<Campaign> run_tasks(
-      const std::vector<GeneratedTask>& tasks, const cmp::Platform& p,
-      const HeuristicFactory& make_heuristics) const;
-  [[nodiscard]] std::vector<Campaign> run_tasks(
-      const std::vector<GeneratedTask>& tasks, const cmp::Platform& p,
-      const solve::SolverSet& solvers) const {
-    return run_tasks(tasks, p, solver_factory(solvers));
-  }
-
-  /// Shard-granular entry point: run only tasks [begin, end) of a larger
-  /// batch, returning their campaigns in task order (result[0] is task
-  /// `begin`).  Results are independent of the thread count and of how the
-  /// batch is cut into slices, which is what lets a resumed campaign skip
-  /// completed shards and still merge byte-identically.
+  /// The sweep loop: run a period-search campaign for tasks [begin, end)
+  /// of a batch, task t on the workload it builds from Rng(t.seed), each
+  /// with fresh solver instances of `solvers`.  Returns their campaigns
+  /// in task order (result[0] is task `begin`).  Results are independent
+  /// of the thread count and of how the batch is cut into slices, which is
+  /// what lets a resumed campaign skip completed shards and still merge
+  /// byte-identically.
   [[nodiscard]] std::vector<Campaign> run_task_slice(
       const std::vector<GeneratedTask>& tasks, std::size_t begin, std::size_t end,
-      const cmp::Platform& p, const HeuristicFactory& make_heuristics) const;
-  [[nodiscard]] std::vector<Campaign> run_task_slice(
-      const std::vector<GeneratedTask>& tasks, std::size_t begin, std::size_t end,
-      const cmp::Platform& p, const solve::SolverSet& solvers) const {
-    return run_task_slice(tasks, begin, end, p, solver_factory(solvers));
-  }
+      const cmp::Platform& p, const solve::SolverSet& solvers) const;
 
   /// Fold a batch of campaigns into the figure aggregate (mean normalized
   /// 1/E and failure counts per heuristic), in index order.  The pointer

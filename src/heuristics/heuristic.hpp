@@ -12,10 +12,12 @@
 // Heuristics are stateless and thread-safe: `run` is const and any
 // randomness is derived deterministically from the instance seed and the
 // problem signature, so concurrent sweeps are reproducible.
+//
+// This layer only implements solvers.  They are named through
+// solve::SolverRegistry (spec strings such as "dpa2d1d+refine") and run
+// through solve::run or a solve::SolverSet; nothing here depends on solve/.
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "cmp/cmp.hpp"
 #include "mapping/evaluator.hpp"
@@ -61,14 +63,5 @@ class Heuristic {
 [[nodiscard]] Result finalize_with_paths(const spg::Spg& g, const cmp::Platform& p,
                                          double T, mapping::Mapping m,
                                          bool downgrade, mapping::Evaluator& ev);
-
-/// The five heuristics evaluated in Section 6, in paper order:
-/// Random, Greedy, DPA2D, DPA1D, DPA2D1D.
-///
-/// Deprecated shim kept for one release: it now resolves the paper set
-/// through the solver registry, so the two paths cannot drift.  New code
-/// should use solve::SolverSet::paper() (or parse a solver list) instead.
-[[nodiscard]] std::vector<std::unique_ptr<Heuristic>> make_paper_heuristics(
-    std::uint64_t seed = 42);
 
 }  // namespace spgcmp::heuristics

@@ -33,6 +33,11 @@ using Clock = std::chrono::steady_clock;
 /// atomic, or a signal landing just before poll) is seen this promptly.
 constexpr int kPollIntervalMs = 200;
 
+/// While draining, a connection whose write buffer has taken no byte for
+/// this long is dropped with its unwritten answers: a peer that never
+/// reads cannot hold the drain, and so the daemon's exit, forever.
+constexpr int kDrainStallMs = 1000;
+
 /// No pollfd entry this cycle.
 constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
 
@@ -73,6 +78,7 @@ struct Conn {
   std::uint64_t next_emit = 0;    ///< next sequence to append to wbuf
   std::map<std::uint64_t, serve::Engine::Result> ready;  ///< out-of-order done
   std::size_t inflight = 0;  ///< accepted, response not yet fully written
+  /// Last read or write, or the moment wbuf last became non-empty.
   Clock::time_point last_activity;
   bool read_closed = false;  ///< EOF seen (or reading abandoned at drain)
   bool discarding = false;   ///< oversize frame: skip until next newline
@@ -153,6 +159,8 @@ struct Loop {
     while (true) {
       const auto it = c.ready.find(c.next_emit);
       if (it == c.ready.end()) break;
+      // Start the stall clock when answers start waiting for the peer.
+      if (c.wbuf.empty()) c.last_activity = Clock::now();
       c.wbuf += it->second.line;
       c.wbuf += '\n';
       serve::count_response(it->second.kind, summary.serve);
@@ -356,6 +364,10 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop,
         const auto id = it->first;
         Conn* c = it->second.get();
         if (c->backlog && loop.can_submit(*c)) loop.frame(id, *c);
+        if (draining && !c->wbuf.empty() &&
+            ms_between(c->last_activity, now) >= kDrainStallMs) {
+          c->dead = true;  // its peer stopped reading; drop it
+        }
         if (c->dead ||
             (c->read_closed && c->rbuf.empty() && c->inflight == 0)) {
           it = loop.remove(it);  // dead, or drained: every answer written

@@ -27,7 +27,9 @@
 //   - when the stop flag rises the loop stops accepting and reading,
 //     queued requests drain through the engine (cache hits answer, fresh
 //     solves are refused code 3), write buffers flush, and run() returns
-//     with `interrupted` set.
+//     with `interrupted` set.  A connection whose peer takes no byte of
+//     its write buffer for a fixed bound (one second) during the drain is
+//     dropped, so a client that never reads cannot hold the drain open.
 //
 // Backpressure, two bounds of max_inflight requests each: requests handed
 // to the engine and not yet completed, summed over all connections; and,

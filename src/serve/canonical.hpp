@@ -38,10 +38,9 @@ namespace spgcmp::serve {
 
 /// Rewrite a solver spec into canonical form: '+'-chain stages with
 /// trimmed names and option lists re-emitted in sorted key order.  Option
-/// *values* are compared textually after trimming (a nested base= spec is
-/// not recursively normalized — equivalent-but-differently-spelled nested
-/// specs conservatively miss the cache).  Throws solve::SolverError on
-/// malformed specs; solver-name existence is checked at solve time.
+/// *values* are compared textually after trimming.  Throws
+/// solve::SolverError on malformed specs; solver-name existence is checked
+/// at solve time.
 [[nodiscard]] std::string normalize_solver_spec(std::string_view spec);
 
 /// The full canonical key of one solve.  `normalized_solver` must come

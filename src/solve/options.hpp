@@ -6,10 +6,10 @@
 //
 //   exact(cap=9, candidates=100000)
 //   random(trials=20)
-//   refine(base=exact(cap=9), rounds=4)
+//   anneal(init=exact(cap=9), iters=400)
 //
 // Values may themselves carry balanced parentheses (nested solver specs,
-// as in refine's `base=`), and commas inside them do not split.  Parsing is
+// as in anneal's `init=`), and commas inside them do not split.  Parsing is
 // strict — duplicate keys, empty keys and unbalanced parentheses are
 // SolverError — and every diagnostic names the owning solver, so failures
 // surface identically whether the spec came from a CLI flag, a campaign

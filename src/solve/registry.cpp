@@ -1,7 +1,6 @@
 #include "solve/registry.hpp"
 
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "heuristics/anneal.hpp"
@@ -9,13 +8,10 @@
 #include "heuristics/dpa2d.hpp"
 #include "heuristics/exact.hpp"
 #include "heuristics/greedy.hpp"
-#include "heuristics/ilp.hpp"
 #include "heuristics/peft.hpp"
 #include "heuristics/random_heuristic.hpp"
 #include "heuristics/refine.hpp"
 #include "spg/spg.hpp"
-
-#include <fstream>
 
 namespace spgcmp::solve {
 
@@ -71,38 +67,6 @@ class RefineSolver final : public Heuristic {
  private:
   std::unique_ptr<Heuristic> base_;
   heuristics::RefineOptions opt_;
-};
-
-/// Adapter exposing the Section 4.4 ILP emitter through the solver API.
-/// No LP solver is linked, so run() emits the model (to `out`, or counts it
-/// against a discarding stream) and reports failure with the model size —
-/// useful for exporting instances, and honest inside sweeps.  A fixed
-/// `out` path is only sensible for one-shot CLI runs, not parallel sweeps.
-class IlpSolver final : public Heuristic {
- public:
-  explicit IlpSolver(std::string out) : out_(std::move(out)) {}
-
-  [[nodiscard]] std::string name() const override { return "ILP"; }
-
-  [[nodiscard]] Result run(const spg::Spg& g, const cmp::Platform& p,
-                           double T) const override {
-    heuristics::IlpStats stats;
-    if (out_.empty()) {
-      std::ostringstream sink;
-      stats = heuristics::emit_ilp(g, p, T, sink);
-    } else {
-      std::ofstream os(out_);
-      if (!os) return Result::fail("ilp: cannot open '" + out_ + "' for writing");
-      stats = heuristics::emit_ilp(g, p, T, os);
-    }
-    return Result::fail(
-        "ilp: model emitted (" + std::to_string(stats.variables) +
-        " variables, " + std::to_string(stats.constraints) +
-        " constraints); no LP solver is linked — use the exact solver");
-  }
-
- private:
-  std::string out_;
 };
 
 void register_builtins(SolverRegistry& reg) {
@@ -193,16 +157,6 @@ void register_builtins(SolverRegistry& reg) {
             return std::make_unique<heuristics::ExactSolver>(opt);
           });
 
-  reg.add({"ilp",
-           "emit the Section 4.4 MinEnergy(T) ILP in LP format (no LP solver "
-           "linked; always reports failure)",
-           {{"out", "", "LP file path; empty discards the model"}},
-           false},
-          [](const SolverOptions& o, const SolveContext&,
-             std::unique_ptr<Heuristic>) -> std::unique_ptr<Heuristic> {
-            return std::make_unique<IlpSolver>(o.get_string("out", ""));
-          });
-
   reg.add({"anneal",
            "simulated annealing on the incremental move protocol "
            "(swap/migrate neighborhood, Metropolis acceptance)",
@@ -275,24 +229,15 @@ void register_builtins(SolverRegistry& reg) {
   reg.add({"refine",
            "local-search post-pass: relocate single stages while the "
            "DAG-partition and period hold",
-           {{"base", "greedy", "seed solver (standalone use only)"},
-            {"rounds", "8", "max full stage sweeps"},
+           {{"rounds", "8", "max full stage sweeps"},
             {"gain", "1e-12", "min relative improvement to accept a move"}},
            true},
-          [](const SolverOptions& o, const SolveContext& ctx,
+          [](const SolverOptions& o, const SolveContext&,
              std::unique_ptr<Heuristic> base) -> std::unique_ptr<Heuristic> {
             heuristics::RefineOptions opt;
             opt.max_rounds = static_cast<std::size_t>(
                 o.get_int_in("rounds", 8, 1, 1000000));
             opt.min_gain = o.get_double("gain", 1e-12);
-            if (base == nullptr) {
-              base = SolverRegistry::instance().make(o.get_string("base", "greedy"),
-                                                     ctx);
-            } else if (o.has("base")) {
-              throw SolverError(
-                  "solver 'refine': option 'base' conflicts with '+' "
-                  "composition");
-            }
             return std::make_unique<RefineSolver>(std::move(base), opt);
           });
 }
@@ -357,6 +302,12 @@ std::unique_ptr<heuristics::Heuristic> SolverRegistry::make(
   for (const auto stage : split_chain(spec)) {
     const auto [name, option_text] = split_stage(stage);
     const auto& [info, factory] = entry(name);  // throws the unknown listing
+    if (first && info.post_pass) {
+      // One spelling per composed solver: the base always comes first.
+      throw SolverError("solver '" + name +
+                        "' is a post-pass and needs a base solver: write "
+                        "X+" + name + ", e.g. greedy+" + name);
+    }
     const SolverOptions options = SolverOptions::parse(name, option_text);
     options.check_known(info.options);
     if (!first && !info.post_pass) {

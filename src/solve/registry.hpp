@@ -2,7 +2,8 @@
 
 // String-keyed solver registry — the API seam between the heuristic
 // implementations and everything that consumes them (harness, sweep
-// engine, campaign specs, CLIs, bench binaries).
+// engine, campaign specs, serve daemon, CLIs, bench binaries).  Solvers
+// are named only here and run only through solve::run or a SolverSet.
 //
 // Every solver is addressed by a spec string:
 //
@@ -11,11 +12,13 @@
 //   base+post(...)            post-pass composition:  dpa2d+refine(rounds=4)
 //
 // Built-ins (in listing order): random, greedy, dpa2d, dpa1d, dpa2d1d,
-// exact, ilp, and refine as a composable post-pass.  Third-party solvers
-// register through SolverRegistrar at static-initialization time (~20
-// lines; see README "Solver API") and are then addressable everywhere a
-// built-in is: --heuristics= flags, campaign `heuristics` spec lines,
-// SolverSet::parse.
+// exact, anneal, peft, and refine as a post-pass.  A post-pass has one
+// spelling, behind its base (`greedy+refine`); alone it is an error.  The
+// Section 4.4 ILP is not a solver (no LP solver is linked): `spgcmp_cli
+// ilp` exports the model.  Third-party solvers register through
+// SolverRegistrar at static-initialization time (~20 lines; see README
+// "Solver API") and are then addressable everywhere a built-in is:
+// --heuristics= flags, campaign `heuristics` spec lines, SolverSet::parse.
 //
 // The registry is populated once (built-ins on first use, extensions at
 // static init) and read-only afterwards, so concurrent make() calls from
@@ -43,14 +46,15 @@ struct SolverInfo {
   std::string name;     ///< registry key, lower-case
   std::string summary;  ///< one line for listings
   std::vector<OptionDesc> options;
-  /// True for post-passes: usable behind '+' in a chain, where the factory
-  /// receives the already-built base solver to wrap.
+  /// True for post-passes: usable only behind '+' in a chain, where the
+  /// factory receives the already-built base solver to wrap.
   bool post_pass = false;
 };
 
 class SolverRegistry {
  public:
-  /// `base` is null except for post-pass stages of a '+' chain.
+  /// `base` is null for a chain's first stage, and the solver built so
+  /// far for the post-pass stages that follow it.
   using Factory = std::function<std::unique_ptr<heuristics::Heuristic>(
       const SolverOptions& options, const SolveContext& ctx,
       std::unique_ptr<heuristics::Heuristic> base)>;

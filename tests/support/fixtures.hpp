@@ -7,8 +7,11 @@
 // platform or the period heuristic updates every suite at once.
 
 #include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "cmp/cmp.hpp"
+#include "harness/sweep_engine.hpp"
 #include "spg/compose.hpp"
 #include "spg/generator.hpp"
 #include "spg/spg.hpp"
@@ -48,6 +51,18 @@ namespace spgcmp::test {
   spg::Spg g = spg::random_spg(n, ymax, rng);
   g.rescale_ccr(ccr);
   return g;
+}
+
+/// A generated batch for SweepEngine::run_task_slice: `count` tasks, task
+/// w building its workload with `make` from Rng(instance_seed(base, w)).
+[[nodiscard]] inline std::vector<harness::SweepEngine::GeneratedTask>
+generated_tasks(std::size_t count, std::uint64_t base,
+                const std::function<spg::Spg(util::Rng&)>& make) {
+  std::vector<harness::SweepEngine::GeneratedTask> tasks;
+  for (std::size_t w = 0; w < count; ++w) {
+    tasks.push_back({harness::instance_seed(base, w), make});
+  }
+  return tasks;
 }
 
 /// The paper's reference platforms by shorthand.

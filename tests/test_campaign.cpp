@@ -144,7 +144,7 @@ TEST(CampaignSpec, GoldenSolverErrors) {
   expect_spec_error(
       "[sweep s1]\nkind streamit\nheuristics frobnicate\n",
       "line 3: unknown solver 'frobnicate' (expected random, greedy, dpa2d, "
-      "dpa1d, dpa2d1d, exact, ilp, anneal, peft, refine)");
+      "dpa1d, dpa2d1d, exact, anneal, peft, refine)");
   expect_spec_error(
       "[sweep s1]\nkind streamit\nheuristics exact(cap=banana)\n",
       "line 3: solver 'exact': option 'cap': expected an integer, got "

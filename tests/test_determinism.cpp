@@ -27,14 +27,12 @@ std::vector<Campaign> run_with_threads(std::size_t threads) {
   opt.threads = threads;
   const harness::SweepEngine engine(opt);
   const auto p = test::grid2x2();
-  return engine.run_generated(
-      6, /*seed_base=*/1234,
-      [](std::size_t, util::Rng& rng) {
-        spg::Spg g = spg::random_spg(12, 3, rng);
-        g.rescale_ccr(10.0);
-        return g;
-      },
-      p, [] { return heuristics::make_paper_heuristics(9); });
+  const auto tasks = test::generated_tasks(6, /*base=*/1234, [](util::Rng& rng) {
+    spg::Spg g = spg::random_spg(12, 3, rng);
+    g.rescale_ccr(10.0);
+    return g;
+  });
+  return engine.run_task_slice(tasks, 0, tasks.size(), p, solve::SolverSet::paper(9));
 }
 
 void expect_identical(const std::vector<Campaign>& a, const std::vector<Campaign>& b,
@@ -131,14 +129,16 @@ TEST(Determinism, SubsetBatchReusesIdenticalWorkloads) {
   // only on (base, index), never on batch size or sibling instances.
   const auto p = test::grid2x2();
   const harness::SweepEngine engine;
-  const auto make = [](std::size_t, util::Rng& rng) {
+  const auto make = [](util::Rng& rng) {
     spg::Spg g = spg::random_spg(10, 2, rng);
     g.rescale_ccr(10.0);
     return g;
   };
-  const auto hs = [] { return heuristics::make_paper_heuristics(9); };
-  const auto full = engine.run_generated(6, 555, make, p, hs);
-  const auto prefix = engine.run_generated(2, 555, make, p, hs);
+  const auto set = solve::SolverSet::paper(9);
+  const auto six = test::generated_tasks(6, 555, make);
+  const auto two = test::generated_tasks(2, 555, make);
+  const auto full = engine.run_task_slice(six, 0, six.size(), p, set);
+  const auto prefix = engine.run_task_slice(two, 0, two.size(), p, set);
   expect_identical(prefix, {full.begin(), full.begin() + 2}, "prefix-vs-full");
 }
 

@@ -1,10 +1,11 @@
 // Tests for the experiment harness: the paper's period-bound search
 // (divide by 10, retain penultimate), normalization rules used by the
-// figures, and the parallel sweep aggregation.
+// figures, and the parallel sweep aggregation through SweepEngine.
 
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hpp"
+#include "harness/sweep_engine.hpp"
 #include "spg/compose.hpp"
 #include "spg/generator.hpp"
 #include "spg/streamit.hpp"
@@ -23,8 +24,7 @@ TEST(PeriodSearch, RetainsPenultimateBound) {
   // not, so the search must retain T in (0.01, 0.1].
   spg::Spg g = spg::chain(4, 1e8, 1e3);
   const auto p = cmp::Platform::reference(2, 2);
-  const auto hs = heuristics::make_paper_heuristics(1);
-  const Campaign c = harness::run_campaign(g, p, hs);
+  const Campaign c = harness::run_campaign(g, p, solve::SolverSet::paper(1));
   EXPECT_GE(c.success_count(), 1u);
   EXPECT_LE(c.period, 0.1 * (1 + 1e-9));
   EXPECT_GT(c.period, 0.01);
@@ -35,8 +35,7 @@ TEST(PeriodSearch, TighterThanStartWhenEasy) {
   // well under the start.
   spg::Spg g = spg::chain(3, 1e6, 10.0);
   const auto p = cmp::Platform::reference(2, 2);
-  const auto hs = heuristics::make_paper_heuristics(2);
-  const Campaign c = harness::run_campaign(g, p, hs);
+  const Campaign c = harness::run_campaign(g, p, solve::SolverSet::paper(2));
   EXPECT_GE(c.success_count(), 1u);
   EXPECT_LT(c.period, 0.1);
 }
@@ -44,8 +43,7 @@ TEST(PeriodSearch, TighterThanStartWhenEasy) {
 TEST(Campaign, NormalizationRules) {
   spg::Spg g = spg::make_streamit(7);  // DCT: small pipeline
   const auto p = cmp::Platform::reference(4, 4);
-  const auto hs = heuristics::make_paper_heuristics(3);
-  const Campaign c = harness::run_campaign(g, p, hs);
+  const Campaign c = harness::run_campaign(g, p, solve::SolverSet::paper(3));
   ASSERT_GE(c.success_count(), 1u);
   const double best = c.best_energy();
   ASSERT_GT(best, 0.0);
@@ -67,25 +65,41 @@ TEST(Campaign, NormalizationRules) {
 TEST(Campaign, RunAtFixedPeriodReportsAllHeuristics) {
   spg::Spg g = spg::chain(5, 1e8, 1e3);
   const auto p = cmp::Platform::reference(2, 2);
-  const auto hs = heuristics::make_paper_heuristics(4);
-  const Campaign c = harness::run_at_period(g, p, hs, 1.0);
+  const Campaign c = harness::run_at_period(g, p, solve::SolverSet::paper(4), 1.0);
   EXPECT_EQ(c.results.size(), 5u);
   EXPECT_EQ(c.names.size(), 5u);
   EXPECT_EQ(c.names[0], "Random");
   EXPECT_DOUBLE_EQ(c.period, 1.0);
 }
 
+/// `count` random n-stage workloads, workload w generated from
+/// Rng(base + w).
+std::vector<harness::SweepEngine::GeneratedTask> sweep_tasks(
+    std::size_t count, std::uint64_t base, std::size_t n, double ccr) {
+  std::vector<harness::SweepEngine::GeneratedTask> tasks;
+  for (std::size_t w = 0; w < count; ++w) {
+    tasks.push_back({base + w, [n, ccr](util::Rng& rng) {
+                       spg::Spg g = spg::random_spg(n, 2, rng);
+                       g.rescale_ccr(ccr);
+                       return g;
+                     }});
+  }
+  return tasks;
+}
+
+harness::SweepCell sweep(const std::vector<harness::SweepEngine::GeneratedTask>& tasks,
+                         const cmp::Platform& p, const solve::SolverSet& solvers,
+                         std::size_t threads) {
+  harness::SweepEngineOptions opt;
+  opt.threads = threads;
+  return harness::SweepEngine::aggregate(
+      harness::SweepEngine(opt).run_task_slice(tasks, 0, tasks.size(), p, solvers));
+}
+
 TEST(Sweep, AggregatesFailuresAndMeans) {
   const auto p = cmp::Platform::reference(2, 2);
-  const auto cell = harness::sweep(
-      [](std::size_t w) {
-        util::Rng rng(w + 1000);
-        spg::Spg g = spg::random_spg(10, 2, rng);
-        g.rescale_ccr(10.0);
-        return g;
-      },
-      6, p, [] { return heuristics::make_paper_heuristics(5); },
-      /*threads=*/2);
+  const auto cell = sweep(sweep_tasks(6, 1000, 10, 10.0), p,
+                          solve::SolverSet::paper(5), /*threads=*/2);
   ASSERT_EQ(cell.mean_inverse_energy.size(), 5u);
   ASSERT_EQ(cell.failures.size(), 5u);
   EXPECT_EQ(cell.workloads, 6u);
@@ -103,15 +117,9 @@ TEST(Sweep, AggregatesFailuresAndMeans) {
 
 TEST(Sweep, DeterministicAcrossThreadCounts) {
   const auto p = cmp::Platform::reference(2, 2);
-  const auto make = [](std::size_t w) {
-    util::Rng rng(w + 2000);
-    spg::Spg g = spg::random_spg(8, 2, rng);
-    g.rescale_ccr(1.0);
-    return g;
-  };
-  const auto hs = [] { return heuristics::make_paper_heuristics(6); };
-  const auto a = harness::sweep(make, 4, p, hs, 1);
-  const auto b = harness::sweep(make, 4, p, hs, 4);
+  const auto tasks = sweep_tasks(4, 2000, 8, 1.0);
+  const auto a = sweep(tasks, p, solve::SolverSet::paper(6), 1);
+  const auto b = sweep(tasks, p, solve::SolverSet::paper(6), 4);
   ASSERT_EQ(a.mean_inverse_energy.size(), b.mean_inverse_energy.size());
   for (std::size_t h = 0; h < a.mean_inverse_energy.size(); ++h) {
     EXPECT_DOUBLE_EQ(a.mean_inverse_energy[h], b.mean_inverse_energy[h]);

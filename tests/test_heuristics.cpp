@@ -1,18 +1,21 @@
 // Tests for the five paper heuristics: validity of every returned mapping,
 // determinism, paper-documented behaviours (DPA2D wasting cores on
 // pipelines, DPA1D optimality on chains and budget failures on fat graphs)
-// and optimality comparisons against the exact solver on tiny instances.
+// and, for every registry solver alone and behind +refine, optimality
+// comparisons against the exact solver on tiny 2x2 and 2x3 instances.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "harness/experiment.hpp"
 #include "heuristics/dpa1d.hpp"
 #include "heuristics/dpa2d.hpp"
 #include "heuristics/exact.hpp"
 #include "heuristics/greedy.hpp"
 #include "heuristics/heuristic.hpp"
 #include "heuristics/random_heuristic.hpp"
+#include "solve/solve.hpp"
 #include "spg/compose.hpp"
 #include "spg/generator.hpp"
 #include "spg/streamit.hpp"
@@ -42,13 +45,12 @@ TEST_P(AllHeuristicsValid, SuccessImpliesValidMapping) {
   const auto p = cmp::Platform::reference(rows, cols);
   const double T = pick_period(g, p);
 
-  const auto hs = heuristics::make_paper_heuristics(7);
+  const auto c = harness::run_at_period(g, p, solve::SolverSet::paper(7), T);
   std::size_t successes = 0;
-  for (const auto& h : hs) {
-    const Result r = h->run(g, p, T);
-    if (!r.success) continue;
+  for (std::size_t h = 0; h < c.results.size(); ++h) {
+    if (!c.results[h].success) continue;
     ++successes;
-    test::expect_valid_result(r, g, p, T, h->name());
+    test::expect_valid_result(c.results[h], g, p, T, c.names[h]);
   }
   // At this mild period bound at least one heuristic must find a mapping.
   EXPECT_GE(successes, 1u);
@@ -239,25 +241,78 @@ TEST(Dpa2d1d, MatchesDpa1dOnChains) {
   EXPECT_LE(a.eval.energy, b.eval.energy * (1 + 1e-9));
 }
 
-class VsExact : public ::testing::TestWithParam<std::uint64_t> {};
+// The exact solver as an oracle over the whole registry: every solver,
+// alone and behind the refine post-pass, on instances inside exact's
+// domain (n <= 12, <= 6 cores).  Each success must pass an independent
+// evaluate() audit and never beat exact's energy.
+struct OracleCase {
+  int rows, cols;
+  std::size_t n;
+  int ymax;
+  std::uint64_t seed;
+};
 
-TEST_P(VsExact, HeuristicsNeverBeatExact) {
-  util::Rng rng(GetParam());
-  spg::Spg g = spg::random_spg(7, 2, rng);
-  g.rescale_ccr(5);
-  const auto p = cmp::Platform::reference(2, 2);
-  const double T = pick_period(g, p);
-  const Result ex = heuristics::ExactSolver().run(g, p, T);
-  ASSERT_TRUE(ex.success) << ex.failure;
-  for (const auto& h : heuristics::make_paper_heuristics(3)) {
-    const Result r = h->run(g, p, T);
-    if (!r.success) continue;
-    EXPECT_GE(r.eval.energy, ex.eval.energy * (1 - 1e-9))
-        << h->name() << " beat the exact optimum";
+/// Every registry solver spec: each base solver, and each X+refine.
+std::vector<std::string> every_solver_spec() {
+  const auto& reg = solve::SolverRegistry::instance();
+  std::vector<std::string> specs;
+  for (const auto& name : reg.names()) {
+    if (reg.info(name).post_pass) continue;
+    specs.push_back(name);
+    specs.push_back(name + "+refine");
   }
+  return specs;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, VsExact, ::testing::Values(11, 22, 33, 44, 55));
+class VsExact : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(VsExact, NoRegistrySolverBeatsExact) {
+  const auto [rows, cols, n, ymax, seed] = GetParam();
+  util::Rng rng(seed);
+  spg::Spg g = spg::random_spg(n, ymax, rng);
+  g.rescale_ccr(5);
+  const auto p = cmp::Platform::reference(rows, cols);
+  const double T = pick_period(g, p);
+  solve::SolveRequest req;
+  req.spg = &g;
+  req.platform = &p;
+  req.period = T;
+  req.seed = 3;
+  const Result ex = solve::run("exact", req).result;
+  ASSERT_TRUE(ex.success) << ex.failure;
+  std::size_t successes = 0;
+  for (const auto& spec : every_solver_spec()) {
+    const Result r = solve::run(spec, req).result;
+    if (!r.success) continue;
+    ++successes;
+    test::expect_valid_result(r, g, p, T, spec);
+    EXPECT_GE(r.eval.energy, ex.eval.energy * (1 - 1e-9))
+        << spec << " beat the exact optimum";
+  }
+  EXPECT_GE(successes, 2u);  // exact and exact+refine at least
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grids, VsExact,
+    ::testing::Values(OracleCase{2, 2, 7, 2, 11}, OracleCase{2, 2, 7, 2, 22},
+                      OracleCase{2, 2, 7, 2, 33}, OracleCase{2, 2, 7, 2, 44},
+                      OracleCase{2, 2, 7, 2, 55}, OracleCase{2, 3, 7, 2, 11},
+                      OracleCase{2, 3, 7, 2, 22}, OracleCase{2, 3, 7, 3, 33},
+                      OracleCase{2, 3, 6, 3, 44}, OracleCase{2, 3, 8, 2, 55}),
+    [](const auto& info) {
+      const auto& q = info.param;
+      std::string name = "g";
+      name += std::to_string(q.rows);
+      name += "x";
+      name += std::to_string(q.cols);
+      name += "_n";
+      name += std::to_string(q.n);
+      name += "_y";
+      name += std::to_string(q.ymax);
+      name += "_s";
+      name += std::to_string(q.seed);
+      return name;
+    });
 
 TEST(Exact, QuasiMonotoneInPeriod) {
   // A mapping feasible at T stays feasible at T' > T, its dynamic energy is
@@ -294,28 +349,18 @@ TEST(Exact, RefusesOversizedInstances) {
   EXPECT_FALSE(heuristics::ExactSolver().run(small, big, 1.0).success);
 }
 
-TEST(Factory, ProducesPaperOrder) {
-  const auto hs = heuristics::make_paper_heuristics();
-  ASSERT_EQ(hs.size(), 5u);
-  EXPECT_EQ(hs[0]->name(), "Random");
-  EXPECT_EQ(hs[1]->name(), "Greedy");
-  EXPECT_EQ(hs[2]->name(), "DPA2D");
-  EXPECT_EQ(hs[3]->name(), "DPA1D");
-  EXPECT_EQ(hs[4]->name(), "DPA2D1D");
-}
-
 TEST(AllHeuristics, StreamItSmoke) {
   // Every benchmark of the suite must be solvable by at least one heuristic
   // at T = 1 s (the paper's starting point for the period search).
   const auto p = cmp::Platform::reference(4, 4);
   for (const auto& info : spg::streamit_table()) {
     const spg::Spg g = spg::make_streamit(info);
+    const auto c = harness::run_at_period(g, p, solve::SolverSet::paper(), 1.0);
     std::size_t ok = 0;
-    for (const auto& h : heuristics::make_paper_heuristics()) {
-      const Result r = h->run(g, p, 1.0);
-      if (r.success) {
+    for (std::size_t h = 0; h < c.results.size(); ++h) {
+      if (c.results[h].success) {
         ++ok;
-        EXPECT_TRUE(r.eval.valid()) << info.name << "/" << h->name();
+        EXPECT_TRUE(c.results[h].eval.valid()) << info.name << "/" << c.names[h];
       }
     }
     EXPECT_GE(ok, 1u) << info.name;

@@ -7,7 +7,8 @@
 // only its own connection, the connection cap's code-3 refusal, idle
 // timeouts, the stats scrape document, the serve.inflight gauge, and the
 // drain-on-stop contract (every accepted request answered, connections
-// closed, run() returns interrupted).
+// closed, run() returns interrupted — within a bound even when one peer
+// never reads).
 
 #include <gtest/gtest.h>
 
@@ -483,6 +484,78 @@ TEST(SocketServer, StalledReaderHoldsBackOnlyItsOwnConnection) {
 
   other.close_now();
   warm.close_now();
+}
+
+TEST(SocketServer, DrainDropsAPeerThatNeverReads) {
+  const obs::Gauge& gauge = obs::Registry::instance().gauge("serve.inflight");
+  net::SocketServerOptions opt;
+  opt.max_inflight = 4;
+  SocketDaemon daemon(opt, /*threads=*/1);
+
+  Client warm(daemon.path());
+  warm.send(gen_request(1, 5) + "\n");
+  ASSERT_TRUE(warm.recv_line().has_value());  // the problem is now cached
+
+  // A client that pipelines cache hits and never reads, until its answers
+  // fill the socket buffers and the daemon holds unwritten bytes for it.
+  const int stalled = net::connect_to(net::parse_address(daemon.path()));
+  const std::unique_ptr<const int, void (*)(const int*)> closer(
+      &stalled, [](const int* fd) { ::close(*fd); });
+  std::string burst;
+  for (int i = 0; i < 64; ++i) burst += gen_request(2, 5) + "\n";
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  bool jammed = false;
+  while (!jammed && std::chrono::steady_clock::now() < deadline) {
+    const ssize_t n =
+        ::send(stalled, burst.data(), burst.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0 || errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
+      pollfd p{stalled, POLLOUT, 0};
+      jammed = ::poll(&p, 1, 500) == 0;  // no room for half a second
+    } else {
+      FAIL() << "send failed: " << std::strerror(errno);
+    }
+  }
+  ASSERT_TRUE(jammed);
+
+  // Hold the engine's only worker, so a second client's requests are
+  // accepted but still unanswered when the stop flag rises.
+  std::promise<void> holding;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  daemon.engine().submit(R"({"stats":true})", /*log_line=*/false, nullptr,
+                         [&holding, released](serve::Engine::Result) {
+                           holding.set_value();
+                           released.wait();
+                         });
+  holding.get_future().wait();
+  const std::int64_t before = gauge.value();
+  Client other(daemon.path());
+  other.send(gen_request(3, 5) + "\n" + gen_request(4, 5) + "\n" +
+             gen_request(5, 5) + "\n");
+  while (gauge.value() < before + 3 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(gauge.value(), before + 3);  // all three accepted
+
+  const auto t0 = std::chrono::steady_clock::now();
+  auto finished = std::async(std::launch::async, [&daemon] { return daemon.finish(); });
+  release.set_value();
+  if (finished.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    ::shutdown(stalled, SHUT_RDWR);  // unwedge the loop so the test can end
+    FAIL() << "the drain waited on a peer that never reads";
+  }
+  const auto summary = finished.get();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  EXPECT_TRUE(summary.serve.interrupted);
+
+  // The other connection got every answer (cache hits), then EOF.
+  std::size_t lines = 0;
+  while (const auto line = other.recv_line()) {
+    ++lines;
+    EXPECT_EQ(util::parse_json(*line).at("status").as_string("status"), "ok");
+  }
+  EXPECT_EQ(lines, 3u);
+  EXPECT_EQ(gauge.value(), 0);
 }
 
 TEST(SocketServer, InflightGaugeCountsASlowRequestUntilWritten) {

@@ -1,10 +1,11 @@
 // Tests for the serve subsystem: canonical-key round-trips (re-seeded and
 // stage-permuted spellings of the same problem collide, genuinely distinct
 // problems do not), solver-spec normalization, LRU eviction order, the
-// request protocol's exit-2-style diagnostics, and — through the daemon's
-// poll loop serving a stream connection — byte-identical cache hits at 1
-// and 4 pool threads, request-log replay, and the shutdown drain (every
-// accepted request is answered, never hung or dropped).
+// request protocol's exit-2-style diagnostics (a non-solver such as the
+// ILP export is an unknown solver and writes nothing), and — through the
+// daemon's poll loop serving a stream connection — byte-identical cache
+// hits at 1 and 4 pool threads, request-log replay, and the shutdown drain
+// (every accepted request is answered, never hung or dropped).
 
 #include <gtest/gtest.h>
 
@@ -148,8 +149,8 @@ TEST(CanonicalSpec, SortsOptionsTrimsWhitespaceKeepsChains) {
             "dpa2d1d+refine(rounds=4)");
   EXPECT_EQ(serve::normalize_solver_spec("greedy()"), "greedy");
   // Nested values keep their parenthesised text intact.
-  EXPECT_EQ(serve::normalize_solver_spec("refine(rounds=2, base=exact(cap=9))"),
-            "refine(base=exact(cap=9),rounds=2)");
+  EXPECT_EQ(serve::normalize_solver_spec("anneal(iters=2, init=exact(cap=9))"),
+            "anneal(init=exact(cap=9),iters=2)");
   // Distinct options stay distinct.
   EXPECT_NE(serve::normalize_solver_spec("random(trials=10)"),
             serve::normalize_solver_spec("random(trials=20)"));
@@ -402,6 +403,28 @@ TEST(Server, AnswersMalformedRequestsInOrderWithCode2) {
   const auto bad_period = util::parse_json(run.lines[3]);
   EXPECT_EQ(bad_period.at("code").as_number("code"), 2.0);
   EXPECT_EQ(bad_period.at("id").as_string("id"), "x");
+}
+
+TEST(Server, NonSolversAreNotServable) {
+  // The Section 4.4 ILP export is a CLI subcommand, not a registry solver:
+  // a request naming it is an unknown solver (code 2), and its out= path
+  // is never written — a request must not make the daemon write files.
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("spgcmp_serve_ilp_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const fs::path lp = dir / "m.lp";
+  serve::Engine engine(engine_options(1));
+  const auto run =
+      run_lines(engine, {gen_request(1, 5, "ilp(out=" + lp.string() + ")")});
+  ASSERT_EQ(run.lines.size(), 1u);
+  const auto doc = util::parse_json(run.lines[0]);
+  EXPECT_EQ(doc.at("status").as_string("status"), "error");
+  EXPECT_EQ(doc.at("code").as_number("code"), 2.0);
+  EXPECT_NE(doc.at("error").as_string("error").find("unknown solver 'ilp'"),
+            std::string::npos);
+  EXPECT_FALSE(fs::exists(lp));
+  fs::remove_all(dir);
 }
 
 TEST(Server, CachePersistsAcrossCallsAndReplayRebuildsIt) {

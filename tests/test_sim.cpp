@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "heuristics/heuristic.hpp"
+#include "harness/experiment.hpp"
 #include "mapping/mapping.hpp"
 #include "sim/simulator.hpp"
 #include "spg/compose.hpp"
@@ -131,8 +131,9 @@ TEST_P(SimulatorAgreesWithEvaluator, OnHeuristicMappings) {
   const auto p = cmp::Platform::reference(3, 3);
   const double T = test::period_for_cores(g, 4.0);
 
-  for (const auto& h : heuristics::make_paper_heuristics(GetParam())) {
-    const auto r = h->run(g, p, T);
+  const auto c = harness::run_at_period(g, p, solve::SolverSet::paper(GetParam()), T);
+  for (std::size_t h = 0; h < c.results.size(); ++h) {
+    const auto& r = c.results[h];
     if (!r.success) continue;
     sim::SimConfig cfg;
     cfg.arrival_period = 0.0;
@@ -142,18 +143,18 @@ TEST_P(SimulatorAgreesWithEvaluator, OnHeuristicMappings) {
     cfg.policy = sim::Policy::PeriodicModulo;
     const auto periodic = sim::simulate(g, p, r.mapping, cfg);
     EXPECT_NEAR(periodic.steady_period, r.eval.period, 1e-9 * r.eval.period)
-        << h->name();
+        << c.names[h];
 
     cfg.policy = sim::Policy::FifoPerDataset;
     const auto fifo = sim::simulate(g, p, r.mapping, cfg);
-    EXPECT_GE(fifo.steady_period, r.eval.period * (1 - 1e-9)) << h->name();
+    EXPECT_GE(fifo.steady_period, r.eval.period * (1 - 1e-9)) << c.names[h];
 
     // Feasible at T means the periodic schedule sustains arrival period T.
     sim::SimConfig at_rate = cfg;
     at_rate.policy = sim::Policy::PeriodicModulo;
     at_rate.arrival_period = T;
     const auto res_t = sim::simulate(g, p, r.mapping, at_rate);
-    EXPECT_NEAR(res_t.steady_period, T, T * 1e-6) << h->name();
+    EXPECT_NEAR(res_t.steady_period, T, T * 1e-6) << c.names[h];
   }
 }
 

@@ -1,9 +1,11 @@
 // Tests for the spgcmp::solve subsystem: registry round-trips for every
 // built-in, unknown-name / bad-option diagnostics (golden messages),
-// option-bag parsing, '+' post-pass composition, SolverSet parsing, the
+// option-bag parsing, '+' post-pass composition (X+refine is the one
+// spelling of a refined solver), SolverSet parsing, the
 // SolveRequest/SolveReport stats contract, and a parity test pinning the
-// registry-built paper set to the hand-constructed heuristic classes
-// (byte-identical energies on a small grid).
+// registry-built paper set, run through solve::run, to the
+// hand-constructed heuristic classes (byte-identical energies on a small
+// grid).
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include "heuristics/random_heuristic.hpp"
 #include "solve/solve.hpp"
 #include "spg/generator.hpp"
+#include "support/fixtures.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -32,6 +35,16 @@ spg::Spg small_workload(std::uint64_t seed = 11, std::size_t n = 10) {
   return g;
 }
 
+/// Solve by registry spec through solve::run (context seed 42).
+heuristics::Result solve_at(const std::string& spec, const spg::Spg& g,
+                            const cmp::Platform& p, double T) {
+  solve::SolveRequest req;
+  req.spg = &g;
+  req.platform = &p;
+  req.period = T;
+  return solve::run(spec, req).result;
+}
+
 // ---------------------------------------------------------------- names --
 
 TEST(SolverRegistry, ListsAllBuiltinsInRegistrationOrder) {
@@ -40,8 +53,8 @@ TEST(SolverRegistry, ListsAllBuiltinsInRegistrationOrder) {
   // legitimately appends an extension solver, and test order is not ours
   // to assume.
   const std::vector<std::string> expected = {
-      "random", "greedy", "dpa2d",  "dpa1d", "dpa2d1d",
-      "exact",  "ilp",    "anneal", "peft",  "refine"};
+      "random", "greedy", "dpa2d",  "dpa1d",
+      "dpa2d1d", "exact", "anneal", "peft", "refine"};
   const auto names = solve::SolverRegistry::instance().names();
   ASSERT_GE(names.size(), expected.size());
   EXPECT_TRUE(std::equal(expected.begin(), expected.end(), names.begin()));
@@ -50,7 +63,9 @@ TEST(SolverRegistry, ListsAllBuiltinsInRegistrationOrder) {
 TEST(SolverRegistry, EveryBuiltinIsConstructibleByNameWithDefaultOptions) {
   const auto& reg = solve::SolverRegistry::instance();
   for (const auto& name : reg.names()) {
-    const auto solver = reg.make(name);
+    // A post-pass is only ever spelled behind a base solver.
+    const auto solver =
+        reg.make(reg.info(name).post_pass ? "greedy+" + name : name);
     ASSERT_NE(solver, nullptr) << name;
     EXPECT_FALSE(solver->name().empty()) << name;
   }
@@ -64,14 +79,11 @@ TEST(SolverRegistry, DisplayNameRoundTrip) {
   EXPECT_EQ(reg.make("dpa1d")->name(), "DPA1D");
   EXPECT_EQ(reg.make("dpa2d1d")->name(), "DPA2D1D");
   EXPECT_EQ(reg.make("exact")->name(), "Exact");
-  EXPECT_EQ(reg.make("ilp")->name(), "ILP");
   EXPECT_EQ(reg.make("anneal")->name(), "Anneal");
   EXPECT_EQ(reg.make("peft")->name(), "PEFT");
   EXPECT_EQ(reg.make("anneal+refine")->name(), "Anneal+refine");
   EXPECT_EQ(reg.make("peft+refine")->name(), "PEFT+refine");
-  // refine standalone seeds from its base option (default greedy).
-  EXPECT_EQ(reg.make("refine")->name(), "Greedy+refine");
-  EXPECT_EQ(reg.make("refine(base=dpa2d)")->name(), "DPA2D+refine");
+  EXPECT_EQ(reg.make("greedy+refine")->name(), "Greedy+refine");
   EXPECT_EQ(reg.make("dpa2d1d+refine(rounds=2)")->name(), "DPA2D1D+refine");
 }
 
@@ -110,7 +122,11 @@ void expect_solver_error(const std::string& spec, const std::string& message,
 TEST(SolverRegistry, GoldenDiagnostics) {
   expect_solver_error("frobnicate",
                       "unknown solver 'frobnicate' (expected random, greedy, "
-                      "dpa2d, dpa1d, dpa2d1d, exact, ilp, anneal, peft, refine",
+                      "dpa2d, dpa1d, dpa2d1d, exact, anneal, peft, refine",
+                      /*prefix=*/true);
+  // The Section 4.4 ILP is a CLI subcommand, not a solver.
+  expect_solver_error("ilp(out=model.lp)",
+                      "unknown solver 'ilp' (expected random, greedy, dpa2d, ",
                       /*prefix=*/true);
   expect_solver_error("exact(capx=9)",
                       "solver 'exact': unknown option 'capx' (expected cap, "
@@ -135,9 +151,16 @@ TEST(SolverRegistry, GoldenDiagnostics) {
   expect_solver_error("", "empty solver spec");
   expect_solver_error("greedy+dpa2d",
                       "solver 'dpa2d' is not a post-pass and cannot follow '+'");
+  // One spelling per composed solver: X+refine, never refine alone.
+  expect_solver_error("refine",
+                      "solver 'refine' is a post-pass and needs a base "
+                      "solver: write X+refine, e.g. greedy+refine");
+  expect_solver_error("refine(base=dpa2d)",
+                      "solver 'refine' is a post-pass and needs a base "
+                      "solver: write X+refine, e.g. greedy+refine");
   expect_solver_error("greedy+refine(base=dpa2d)",
-                      "solver 'refine': option 'base' conflicts with '+' "
-                      "composition");
+                      "solver 'refine': unknown option 'base' (expected "
+                      "rounds, gain)");
 }
 
 TEST(SolverRegistry, GoldenDiagnosticsNumericHardening) {
@@ -222,29 +245,39 @@ TEST(SolverSet, EmptyListIsAnError) {
 // ---------------------------------------------------------------- parity --
 
 TEST(SolverSet, RegistryPaperSetMatchesHandConstructedHeuristicsExactly) {
-  // The shim make_paper_heuristics already routes through the registry, so
-  // pin the registry against directly-constructed classes instead: the
-  // energies must be byte-identical, not merely close.
+  // Pin the registry against directly-constructed classes: at every step
+  // of the paper's period search, each solver of SolverSet::paper() run
+  // through solve::run must give byte-identical energies, not merely
+  // close ones.
   const spg::Spg g = small_workload();
   const auto p = cmp::Platform::reference(2, 2);
 
-  harness::HeuristicSet legacy;
-  legacy.push_back(std::make_unique<heuristics::RandomHeuristic>(42));
-  legacy.push_back(std::make_unique<heuristics::GreedyHeuristic>());
-  legacy.push_back(std::make_unique<heuristics::Dpa2dHeuristic>(
+  std::vector<std::unique_ptr<heuristics::Heuristic>> hand;
+  hand.push_back(std::make_unique<heuristics::RandomHeuristic>(42));
+  hand.push_back(std::make_unique<heuristics::GreedyHeuristic>());
+  hand.push_back(std::make_unique<heuristics::Dpa2dHeuristic>(
       heuristics::Dpa2dHeuristic::Mode::Grid2D));
-  legacy.push_back(std::make_unique<heuristics::Dpa1dHeuristic>());
-  legacy.push_back(std::make_unique<heuristics::Dpa2dHeuristic>(
+  hand.push_back(std::make_unique<heuristics::Dpa1dHeuristic>());
+  hand.push_back(std::make_unique<heuristics::Dpa2dHeuristic>(
       heuristics::Dpa2dHeuristic::Mode::Line1D));
 
-  const auto a = harness::run_campaign(g, p, legacy);
-  const auto b = harness::run_campaign(g, p, solve::SolverSet::paper());
-  ASSERT_EQ(a.results.size(), b.results.size());
-  EXPECT_EQ(a.period, b.period);
-  EXPECT_EQ(a.names, b.names);
-  for (std::size_t h = 0; h < a.results.size(); ++h) {
-    EXPECT_EQ(a.results[h].success, b.results[h].success) << a.names[h];
-    EXPECT_EQ(a.results[h].eval.energy, b.results[h].eval.energy) << a.names[h];
+  const auto set = solve::SolverSet::paper();
+  ASSERT_EQ(set.size(), hand.size());
+  const auto c = harness::run_campaign(g, p, set);
+  ASSERT_GT(c.success_count(), 0u);
+  solve::SolveRequest req;
+  req.spg = &g;
+  req.platform = &p;
+  for (double T = 1.0; T >= c.period; T /= 10.0) {
+    req.period = T;
+    for (std::size_t h = 0; h < hand.size(); ++h) {
+      const auto a = solve::run(*hand[h], req).result;
+      const auto b = solve::run(set.specs()[h], req).result;
+      EXPECT_EQ(hand[h]->name(), set.names()[h]);
+      EXPECT_EQ(a.success, b.success) << set.names()[h] << " T=" << T;
+      EXPECT_EQ(a.eval.energy, b.eval.energy) << set.names()[h] << " T=" << T;
+      EXPECT_EQ(a.mapping.core_of, b.mapping.core_of) << set.names()[h];
+    }
   }
 }
 
@@ -253,21 +286,11 @@ TEST(SolverSet, RegistryPaperSetMatchesHandConstructedHeuristicsExactly) {
 TEST(Refine, PostPassNeverWorsensTheBaseResult) {
   const spg::Spg g = small_workload(21, 12);
   const auto p = cmp::Platform::reference(2, 3);
-  const auto& reg = solve::SolverRegistry::instance();
-  const auto base = reg.make("greedy")->run(g, p, 1.0);
-  const auto refined = reg.make("greedy+refine")->run(g, p, 1.0);
+  const auto base = solve_at("greedy", g, p, 1.0);
+  const auto refined = solve_at("greedy+refine", g, p, 1.0);
   ASSERT_TRUE(base.success);
   ASSERT_TRUE(refined.success);
   EXPECT_LE(refined.eval.energy, base.eval.energy);
-}
-
-TEST(Ilp, SolverEmitsModelAndReportsFailureWithCounts) {
-  const spg::Spg g = small_workload(5, 6);
-  const auto p = cmp::Platform::reference(2, 2);
-  const auto r = solve::SolverRegistry::instance().make("ilp")->run(g, p, 0.5);
-  EXPECT_FALSE(r.success);
-  EXPECT_NE(r.failure.find("variables"), std::string::npos);
-  EXPECT_NE(r.failure.find("no LP solver"), std::string::npos);
 }
 
 // --------------------------------------------------------------- solve --
@@ -314,9 +337,8 @@ TEST(SolveRun, CampaignCarriesPerSolverStats) {
 TEST(Anneal, NeverWorsensItsSeedSolverAndStaysValid) {
   const spg::Spg g = small_workload(21, 12);
   const auto p = cmp::Platform::reference(2, 3);
-  const auto& reg = solve::SolverRegistry::instance();
-  const auto seed = reg.make("greedy")->run(g, p, 1.0);
-  const auto annealed = reg.make("anneal")->run(g, p, 1.0);
+  const auto seed = solve_at("greedy", g, p, 1.0);
+  const auto annealed = solve_at("anneal", g, p, 1.0);
   ASSERT_TRUE(seed.success);
   ASSERT_TRUE(annealed.success);
   EXPECT_LE(annealed.eval.energy, seed.eval.energy);
@@ -330,20 +352,18 @@ TEST(Anneal, ByteIdenticalAcrossSweepThreadCounts) {
   // The chain derives all randomness from the instance seed and problem
   // signature, so a 1-thread and an 8-thread sweep must agree bitwise.
   const auto p = cmp::Platform::reference(2, 2);
-  const auto make = [](std::size_t, util::Rng& rng) {
+  const auto tasks = test::generated_tasks(6, 7, [](util::Rng& rng) {
     spg::Spg g = spg::random_spg(12, 3, rng);
     g.rescale_ccr(1.0);
     return g;
-  };
+  });
   const auto set = solve::SolverSet::parse("anneal(iters=300),peft");
   harness::SweepEngineOptions opt1;
   opt1.threads = 1;
   harness::SweepEngineOptions opt8;
   opt8.threads = 8;
-  const auto a =
-      harness::SweepEngine(opt1).run_generated(6, 7, make, p, set);
-  const auto b =
-      harness::SweepEngine(opt8).run_generated(6, 7, make, p, set);
+  const auto a = harness::SweepEngine(opt1).run_task_slice(tasks, 0, 6, p, set);
+  const auto b = harness::SweepEngine(opt8).run_task_slice(tasks, 0, 6, p, set);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t w = 0; w < a.size(); ++w) {
     EXPECT_EQ(a[w].period, b[w].period) << w;
@@ -360,9 +380,8 @@ TEST(Anneal, ByteIdenticalAcrossSweepThreadCounts) {
 TEST(Peft, DeterministicParityWithItself) {
   const spg::Spg g = small_workload(33, 16);
   const auto p = cmp::Platform::reference(2, 3);
-  const auto& reg = solve::SolverRegistry::instance();
-  const auto a = reg.make("peft")->run(g, p, 1.0);
-  const auto b = reg.make("peft")->run(g, p, 1.0);
+  const auto a = solve_at("peft", g, p, 1.0);
+  const auto b = solve_at("peft", g, p, 1.0);
   ASSERT_TRUE(a.success);
   ASSERT_TRUE(b.success);
   EXPECT_EQ(a.eval.energy, b.eval.energy);
@@ -393,15 +412,16 @@ TEST(SolveRun, FourThreadSweepReportsNonzeroPerSolverEvalCounts) {
   // counters; under the sweep engine every solve runs on a pool worker, and
   // per-solve sinks must keep attributing counts there.
   const auto p = cmp::Platform::reference(2, 2);
-  const auto make = [](std::size_t, util::Rng& rng) {
+  const auto tasks = test::generated_tasks(8, 11, [](util::Rng& rng) {
     spg::Spg g = spg::random_spg(10, 3, rng);
     g.rescale_ccr(1.0);
     return g;
-  };
+  });
   harness::SweepEngineOptions opt;
   opt.threads = 4;
-  const auto campaigns = harness::SweepEngine(opt).run_generated(
-      8, 11, make, p, solve::SolverSet::parse("greedy,dpa2d1d,anneal(iters=200),peft"));
+  const auto campaigns = harness::SweepEngine(opt).run_task_slice(
+      tasks, 0, tasks.size(), p,
+      solve::SolverSet::parse("greedy,dpa2d1d,anneal(iters=200),peft"));
   for (const auto& c : campaigns) {
     ASSERT_EQ(c.stats.size(), c.results.size());
     for (std::size_t h = 0; h < c.results.size(); ++h) {

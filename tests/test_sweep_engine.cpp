@@ -1,6 +1,7 @@
 // Tests for the parallel sweep engine and its structured JSON emission:
-// seed derivation, batch running, aggregation equivalence with the legacy
-// harness::sweep, and the JSON writer's escaping/number formatting.
+// seed derivation, the one campaign loop (sliced batches match standalone
+// campaigns in task order), and the JSON writer's escaping/number
+// formatting.
 
 #include <gtest/gtest.h>
 
@@ -33,61 +34,33 @@ TEST(InstanceSeed, DistinctAcrossIndicesAndBases) {
   }
 }
 
-TEST(SweepEngine, RunGeneratedMatchesLegacySweepAggregation) {
+TEST(SweepEngine, SlicesMatchStandaloneCampaignsInTaskOrder) {
   const auto p = test::grid2x2();
-  const auto make_hs = [] { return heuristics::make_paper_heuristics(5); };
-  const harness::SweepEngine engine;
+  const auto set = solve::SolverSet::paper(5);
+  const auto tasks = test::generated_tasks(5, 777, [](util::Rng& rng) {
+    spg::Spg g = spg::random_spg(10, 2, rng);
+    g.rescale_ccr(10.0);
+    return g;
+  });
+  harness::SweepEngineOptions opt;
+  opt.threads = 2;
+  const harness::SweepEngine engine(opt);
 
-  const auto campaigns = engine.run_generated(
-      5, 777,
-      [](std::size_t, util::Rng& rng) {
-        spg::Spg g = spg::random_spg(10, 2, rng);
-        g.rescale_ccr(10.0);
-        return g;
-      },
-      p, make_hs);
-  ASSERT_EQ(campaigns.size(), 5u);
-  const auto cell = harness::SweepEngine::aggregate(campaigns);
-
-  // The legacy entry point with equivalent per-instance seeding must agree.
-  const auto legacy = harness::sweep(
-      [](std::size_t w) {
-        util::Rng rng(harness::instance_seed(777, w));
-        spg::Spg g = spg::random_spg(10, 2, rng);
-        g.rescale_ccr(10.0);
-        return g;
-      },
-      5, p, make_hs, 2);
-  ASSERT_EQ(cell.mean_inverse_energy.size(), legacy.mean_inverse_energy.size());
-  for (std::size_t h = 0; h < cell.mean_inverse_energy.size(); ++h) {
-    EXPECT_DOUBLE_EQ(cell.mean_inverse_energy[h], legacy.mean_inverse_energy[h]);
-    EXPECT_EQ(cell.failures[h], legacy.failures[h]);
-  }
-}
-
-TEST(SweepEngine, RunFixedPreservesInputOrder) {
-  const auto p = test::grid2x2();
-  std::vector<spg::Spg> workloads;
-  for (const std::uint64_t s : {1, 2, 3, 4}) {
-    workloads.push_back(test::random_workload(s, 8, 2, 10.0));
-  }
-  const harness::SweepEngine engine;
-  const auto campaigns =
-      engine.run_fixed(workloads, p, [] { return heuristics::make_paper_heuristics(5); });
-  ASSERT_EQ(campaigns.size(), workloads.size());
-  for (std::size_t w = 0; w < workloads.size(); ++w) {
-    // Each campaign must be the one for workload w, i.e. identical to a
-    // standalone run on that workload.
-    const auto solo = harness::run_campaign(workloads[w], p,
-                                            heuristics::make_paper_heuristics(5));
-    EXPECT_DOUBLE_EQ(campaigns[w].period, solo.period) << w;
-    ASSERT_EQ(campaigns[w].results.size(), solo.results.size());
+  // A batch cut into two slices still yields one campaign per task, in
+  // task order ...
+  auto campaigns = engine.run_task_slice(tasks, 0, 2, p, set);
+  const auto rest = engine.run_task_slice(tasks, 2, tasks.size(), p, set);
+  campaigns.insert(campaigns.end(), rest.begin(), rest.end());
+  ASSERT_EQ(campaigns.size(), tasks.size());
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    // ... each identical to a standalone campaign on task t's workload.
+    util::Rng rng(tasks[t].seed);
+    const auto solo = harness::run_campaign(tasks[t].make(rng), p, set);
+    EXPECT_EQ(campaigns[t].period, solo.period) << t;
+    ASSERT_EQ(campaigns[t].results.size(), solo.results.size());
     for (std::size_t h = 0; h < solo.results.size(); ++h) {
-      EXPECT_EQ(campaigns[w].results[h].success, solo.results[h].success);
-      if (solo.results[h].success) {
-        EXPECT_DOUBLE_EQ(campaigns[w].results[h].eval.energy,
-                         solo.results[h].eval.energy);
-      }
+      EXPECT_EQ(campaigns[t].results[h].success, solo.results[h].success);
+      EXPECT_EQ(campaigns[t].results[h].eval.energy, solo.results[h].eval.energy);
     }
   }
 }
@@ -130,7 +103,7 @@ TEST(BenchReport, WritesWellFormedStableJson) {
 TEST(BenchCell, FromCampaignRecordsFailuresAndNormalization) {
   const auto p = test::grid2x2();
   const spg::Spg g = test::random_workload(3, 10, 2, 10.0);
-  const auto c = harness::run_campaign(g, p, heuristics::make_paper_heuristics(5));
+  const auto c = harness::run_campaign(g, p, solve::SolverSet::paper(5));
   const auto cell = harness::cell_from_campaign({{"app", "probe"}}, c);
   ASSERT_EQ(cell.values.size(), c.results.size());
   for (std::size_t h = 0; h < c.results.size(); ++h) {

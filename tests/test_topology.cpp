@@ -211,10 +211,9 @@ TEST(Topology, AllFiveHeuristicsValidOnTorus) {
   // Relaxed enough that every heuristic (including Random's trials) finds a
   // mapping; validity at the bound is what this test audits.
   const double T = test::period_for_cores(g, 2.0);
-  const auto hs = heuristics::make_paper_heuristics();
-  for (const auto& h : hs) {
-    const auto r = h->run(g, p, T);
-    test::expect_valid_result(r, g, p, T, h->name() + " on torus");
+  const auto c = harness::run_at_period(g, p, solve::SolverSet::paper(), T);
+  for (std::size_t h = 0; h < c.results.size(); ++h) {
+    test::expect_valid_result(c.results[h], g, p, T, c.names[h] + " on torus");
   }
 }
 
@@ -223,10 +222,11 @@ TEST(Topology, HeuristicsOnSnakeAndHeteroAreAudited) {
   for (const auto& name : {std::string("snake"), std::string("hetero")}) {
     const auto p = cmp::Platform::reference(name, 4, 4);
     const double T = test::pick_period(g, p, 0.4);
-    for (const auto& h : heuristics::make_paper_heuristics()) {
-      const auto r = h->run(g, p, T);
-      if (r.success) {
-        test::expect_valid_mapping(g, p, r.mapping, T, h->name() + " on " + name);
+    const auto c = harness::run_at_period(g, p, solve::SolverSet::paper(), T);
+    for (std::size_t h = 0; h < c.results.size(); ++h) {
+      if (c.results[h].success) {
+        test::expect_valid_mapping(g, p, c.results[h].mapping, T,
+                                   c.names[h] + " on " + name);
       }
     }
   }
@@ -366,22 +366,19 @@ std::string sweep_fingerprint(const std::string& topology, std::size_t threads) 
   harness::SweepEngineOptions opt;
   opt.threads = threads;
   const harness::SweepEngine engine(opt);
-  const auto campaigns = engine.run_generated(
-      6, 42,
-      [](std::size_t, util::Rng& rng) {
-        spg::Spg g = spg::random_spg(16, 4, rng);
-        g.rescale_ccr(1.0);
-        return g;
-      },
-      p, [] { return heuristics::make_paper_heuristics(); });
+  const auto tasks = test::generated_tasks(6, 42, [](util::Rng& rng) {
+    spg::Spg g = spg::random_spg(16, 4, rng);
+    g.rescale_ccr(1.0);
+    return g;
+  });
+  const auto set = solve::SolverSet::paper();
+  const auto campaigns = engine.run_task_slice(tasks, 0, tasks.size(), p, set);
 
   harness::BenchReport rep;
   rep.name = "topology_determinism_" + topology;
   rep.metric = "normalized_energy";
   rep.meta = {{"topology", topology}};
-  for (const auto& h : heuristics::make_paper_heuristics()) {
-    rep.heuristics.push_back(h->name());
-  }
+  rep.heuristics = set.names();
   for (std::size_t i = 0; i < campaigns.size(); ++i) {
     rep.cells.push_back(harness::cell_from_campaign(
         {{"instance", std::to_string(i)}}, campaigns[i]));

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "heuristics/heuristic.hpp"
+#include "harness/experiment.hpp"
 #include "heuristics/refine.hpp"
 #include "spg/compose.hpp"
 #include "spg/generator.hpp"
@@ -73,11 +73,11 @@ TEST(TreeToSpg, MappableByHeuristics) {
   const auto p = cmp::Platform::reference(3, 3);
   const double T = test::period_for_cores(g, 4.0);
   std::size_t ok = 0;
-  for (const auto& h : heuristics::make_paper_heuristics(92)) {
-    const auto r = h->run(g, p, T);
-    if (r.success) {
+  const auto c = harness::run_at_period(g, p, solve::SolverSet::paper(92), T);
+  for (std::size_t h = 0; h < c.results.size(); ++h) {
+    if (c.results[h].success) {
       ++ok;
-      EXPECT_TRUE(r.eval.valid()) << h->name();
+      EXPECT_TRUE(c.results[h].eval.valid()) << c.names[h];
     }
   }
   EXPECT_GE(ok, 1u);
@@ -90,12 +90,13 @@ TEST(Refine, NeverIncreasesEnergy) {
     spg::Spg g = spg::random_spg(18, 3, rng);
     g.rescale_ccr(1.0);
     const double T = test::period_for_cores(g, 3.0);
-    for (const auto& h : heuristics::make_paper_heuristics(93)) {
-      const auto r = h->run(g, p, T);
+    const auto c = harness::run_at_period(g, p, solve::SolverSet::paper(93), T);
+    for (std::size_t h = 0; h < c.results.size(); ++h) {
+      const auto& r = c.results[h];
       if (!r.success) continue;
       const auto refined = heuristics::refine_mapping(g, p, T, r.mapping);
-      ASSERT_TRUE(refined.success) << h->name();
-      EXPECT_TRUE(refined.eval.valid()) << h->name();
+      ASSERT_TRUE(refined.success) << c.names[h];
+      EXPECT_TRUE(refined.eval.valid()) << c.names[h];
       // Refinement under XY routing can only be compared against the XY
       // re-evaluation of the seed, which it is by construction <=.
       mapping::Mapping seed_xy = r.mapping;
@@ -103,7 +104,7 @@ TEST(Refine, NeverIncreasesEnergy) {
       if (mapping::assign_slowest_modes(g, p, T, seed_xy)) {
         const auto seed_ev = mapping::evaluate(g, p, seed_xy, T);
         if (seed_ev.valid()) {
-          EXPECT_LE(refined.eval.energy, seed_ev.energy * (1 + 1e-12)) << h->name();
+          EXPECT_LE(refined.eval.energy, seed_ev.energy * (1 + 1e-12)) << c.names[h];
         }
       }
     }

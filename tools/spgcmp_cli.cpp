@@ -11,7 +11,10 @@
 // `gen` writes the text serialization of a random SPG; `map` runs the
 // period search (or a fixed --period) and prints the solver comparison;
 // `sim` maps with the best heuristic and streams data sets through it;
-// `ilp` emits the Section 4.4 integer linear program in LP format.
+// `ilp` emits the Section 4.4 integer linear program in LP format.  The
+// ILP is a subcommand, not a registry solver: no LP solver is linked, so
+// exporting the model is all there is to do with it.  An --out (or
+// --dot) file that cannot be written exits 1 naming the path.
 //
 // `map` and `sim` take --heuristics=<solver list> (registry spec strings;
 // default: the paper's five) and --topology=mesh|snake|torus|hetero
@@ -59,6 +62,19 @@ spg::Spg load(const util::Args& args) {
   return spg::Spg::parse(is);
 }
 
+/// Open `path` for writing, or throw naming it (exit 1 via run_tool).
+std::ofstream open_out(const std::string& path) {
+  std::ofstream os(path);
+  if (!os) throw std::runtime_error("cannot open " + path + " for writing");
+  return os;
+}
+
+/// Flush and close `os`, or throw naming `path` (a full disk, say).
+void close_out(std::ofstream& os, const std::string& path) {
+  os.close();
+  if (!os) throw std::runtime_error("cannot write " + path);
+}
+
 cmp::Platform platform_of(const util::Args& args) {
   const int rows = static_cast<int>(args.get_int("rows", "REPRO_ROWS", 4));
   const int cols = static_cast<int>(args.get_int("cols", "REPRO_COLS", 4));
@@ -77,8 +93,9 @@ int cmd_gen(const util::Args& args) {
   g.rescale_ccr(ccr);
   const auto out = args.get("out");
   if (out && !out->empty()) {
-    std::ofstream os(*out);
+    std::ofstream os = open_out(*out);
     g.serialize(os);
+    close_out(os, *out);
     std::printf("wrote %s (n=%zu, ymax=%d, ccr=%.3f)\n", out->c_str(), g.size(),
                 g.ymax(), g.ccr());
   } else {
@@ -111,8 +128,9 @@ int cmd_info(const util::Args& args) {
     std::printf("series-parallel: no\n");
   }
   if (const auto dot = args.get("dot"); dot && !dot->empty()) {
-    std::ofstream os(*dot);
+    std::ofstream os = open_out(*dot);
     g.to_dot(os);
+    close_out(os, *dot);
     std::printf("wrote %s\n", dot->c_str());
   }
   return 0;
@@ -212,8 +230,9 @@ int cmd_ilp(const util::Args& args) {
   const auto out = args.get("out");
   heuristics::IlpStats stats;
   if (out && !out->empty()) {
-    std::ofstream os(*out);
+    std::ofstream os = open_out(*out);
     stats = heuristics::emit_ilp(g, p, T, os);
+    close_out(os, *out);
     std::printf("wrote %s\n", out->c_str());
   } else {
     stats = heuristics::emit_ilp(g, p, T, std::cout);
